@@ -25,7 +25,7 @@ import sys
 
 from . import solutions
 from .equivalence import Branch, ple_to_pme, pme_to_ple, verify_equivalence
-from .errors import SsflowError
+from .errors import IntegrationFailure, SsflowError
 from .integrator import IntegrationSettings, integrate
 from .params import (
     PLEParams,
@@ -34,14 +34,7 @@ from .params import (
     alpha_from,
     unified_coefficients,
 )
-from .phase_plane import (
-    ProfileSample,
-    reconstruct_profile,
-    straight_line,
-    unified_system,
-    unified_to_ple,
-    unified_to_pme,
-)
+from .phase_plane import reconstruct_profile, state_to_profile, straight_line, unified_system
 from .verify import run_default_verification
 
 _SIM_TYPES = {1: SimilarityType.TYPE_I, 2: SimilarityType.TYPE_II, 3: SimilarityType.TYPE_III}
@@ -152,24 +145,17 @@ def cmd_map(args) -> int:
     tol = _default_tol()
     branches = {"1": [Branch.BRANCH1], "2": [Branch.BRANCH2],
                 "both": [Branch.BRANCH1, Branch.BRANCH2]}[args.branch]
+    is_pme = isinstance(params, PMEParams)
     targets = []
     checks = []
     errors = []
     for branch in branches:
-        if isinstance(params, PMEParams):
-            try:
-                image = pme_to_ple(params, branch)
-            except SsflowError as exc:
-                errors.append({"branch": branch.value, "type": type(exc).__name__, "message": str(exc)})
-                continue
-            rep = verify_equivalence(params, image, tol)
-        else:
-            try:
-                image = ple_to_pme(params, branch)
-            except SsflowError as exc:
-                errors.append({"branch": branch.value, "type": type(exc).__name__, "message": str(exc)})
-                continue
-            rep = verify_equivalence(image, params, tol)
+        try:
+            image = pme_to_ple(params, branch) if is_pme else ple_to_pme(params, branch)
+        except SsflowError as exc:
+            errors.append({"branch": branch.value, "type": type(exc).__name__, "message": str(exc)})
+            continue
+        rep = verify_equivalence(params, image, tol) if is_pme else verify_equivalence(image, params, tol)
         entry = _params_dict(image)
         entry["branch"] = branch.value
         entry["orientation_flipped"] = rep.flipped
@@ -239,37 +225,25 @@ def _apply_preset_params(args):
         args.sim_type = preset["sim_type"]
 
 
-def cmd_integrate(args) -> int:
+def _integrate_from_args(args):
     _apply_preset_params(args)
     params = _params_from_args(args)
     y0, span, coeffs = _resolve_initial_state(args, params)
     settings = IntegrationSettings(
         rel_tol=args.rel_tol, abs_tol=args.abs_tol, max_step=args.max_step, max_steps=args.max_steps
     )
-    traj = integrate(unified_system(coeffs), y0, span, settings)
+    return params, coeffs, integrate(unified_system(coeffs), y0, span, settings)
+
+
+def cmd_integrate(args) -> int:
+    _, _, traj = _integrate_from_args(args)
     _csv_out(("r1", "psi", "phi"), zip(traj.r1, traj.states[:, 0], traj.states[:, 1]), args.out)
     return 0
 
 
 def cmd_profile(args) -> int:
-    _apply_preset_params(args)
-    params = _params_from_args(args)
-    y0, span, coeffs = _resolve_initial_state(args, params)
-    settings = IntegrationSettings(
-        rel_tol=args.rel_tol, abs_tol=args.abs_tol, max_step=args.max_step, max_steps=args.max_steps
-    )
-    traj = integrate(unified_system(coeffs), y0, span, settings)
-    if isinstance(params, PMEParams):
-        native = unified_to_pme(traj.states[0], params, coeffs)
-        eta0 = args.anchor_eta
-        f0 = (native.y / (eta0 * eta0)) ** (1.0 / (1.0 - params.m))
-        anchor = ProfileSample(eta0, f0, native.x * f0 / eta0)
-    else:
-        native = unified_to_ple(traj.states[0], params, coeffs)
-        eta0 = args.anchor_eta
-        fp0 = -((native.x / (eta0 * eta0)) ** (1.0 / (2.0 - params.p)))
-        f0 = native.z * eta0 ** (-params.gamma)
-        anchor = ProfileSample(eta0, f0, fp0)
+    params, coeffs, traj = _integrate_from_args(args)
+    anchor = state_to_profile(traj.states[0], args.anchor_eta, params, coeffs)
     samples = reconstruct_profile(traj, params, anchor)
     _csv_out(("eta", "f", "fprime"), ((s.eta, s.f, s.fprime) for s in samples), args.out)
     return 0
@@ -298,14 +272,15 @@ def cmd_explicit(args) -> int:
     etas = profile.interior_points(args.points)
     rows = [(s.eta, s.f, s.fprime) for s in profile.sample(etas)]
     _csv_out(("eta", "f", "fprime"), rows, args.out)
+    residual = solutions.max_residual(profile, args.points)
     footer = {
         "status": "ok",
         "params": _params_dict(profile.params),
         "checks": [
             {
                 "name": "max_residual",
-                "pass": bool(solutions.max_residual(profile, args.points) < 1e-8),
-                "max_dev": solutions.max_residual(profile, args.points),
+                "pass": bool(residual < 1e-8),
+                "max_dev": residual,
                 "tol": 1e-8,
             }
         ],
@@ -371,7 +346,6 @@ def build_parser() -> _Parser:
 
     s = subs.add_parser("integrate", help="integrate the unified system; CSV r1,psi,phi")
     _add_param_flags(s)
-    s.add_argument("--unified", action="store_true", help="accepted for clarity; always unified")
     _add_integration_flags(s)
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_integrate)
@@ -421,7 +395,7 @@ def main(argv=None) -> int:
             if args.n is None or args.beta is None:
                 raise SsflowError("--n and --beta are required without --preset")
         return args.func(args)
-    except SsflowError as exc:
+    except (SsflowError, IntegrationFailure) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return 1
     except OSError as exc:

@@ -140,7 +140,7 @@ class UnifiedCoefficients:
 
 
 class Regime(Enum):
-    """Coarse classification used to route parameters to the right formulas."""
+    """Coarse label for parameters that need special handling; nothing dispatches on it."""
 
     GENERIC = "generic"
     CRITICAL_B_ZERO = "critical_b_zero"
@@ -246,7 +246,7 @@ def _sign(x: float) -> int:
 
 
 def classify_regime(params, tol: float = 1e-9) -> Regime:
-    """Classify parameters into the regimes that need special handling.
+    """Label the regime of ``params`` for reports; the package's own guards do not consult it.
 
     Dimension two blocks the equivalence maps; near-linear exponents are
     rejected upstream anyway; the critical and Yamabe values mark b = 0 and

@@ -222,51 +222,44 @@ def ple_native_rhs_xy(state, params: PLEParams) -> tuple[float, float]:
     return dx, dy
 
 
+def _unified_field(psi, phi, c1, c2, c3, e, k):
+    """The unified polynomial field on components; e = psi_coeff, k = const_term."""
+    return psi * phi, c1 * phi * phi - c2 * psi * phi - c3 * phi + e * psi + k
+
+
 def unified_rhs(state, coeffs: UnifiedCoefficients) -> tuple[float, float]:
     """dPsi = Psi Phi,  dPhi = c1 Phi^2 - c2 Psi Phi - c3 Phi + e Psi + sgn(b)."""
     psi, phi = _pair(state)
-    dpsi = psi * phi
-    dphi = (
-        coeffs.c1 * phi * phi
-        - coeffs.c2 * psi * phi
-        - coeffs.c3 * phi
-        + coeffs.psi_coeff * psi
-        + coeffs.const_term
-    )
-    return dpsi, dphi
+    return _unified_field(psi, phi, coeffs.c1, coeffs.c2, coeffs.c3, coeffs.psi_coeff, coeffs.const_term)
 
 
 def unified_system(coeffs: UnifiedCoefficients):
     """Vectorized right-hand side for the integrator."""
     c1, c2, c3 = coeffs.c1, coeffs.c2, coeffs.c3
-    e, s = float(coeffs.psi_coeff), float(coeffs.const_term)
+    e, k = float(coeffs.psi_coeff), float(coeffs.const_term)
+    kernel, array = _unified_field, np.array  # locals: the integrator calls rhs in its inner loop
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        psi, phi = y[0], y[1]
-        return np.array([psi * phi, c1 * phi * phi - c2 * psi * phi - c3 * phi + e * psi + s])
+        return array(kernel(y[0], y[1], c1, c2, c3, e, k))
 
     return rhs
 
 
-def pme_native_system(params: PMEParams):
-    def rhs(y: np.ndarray) -> np.ndarray:
-        return np.array(pme_native_rhs((y[0], y[1]), params))
+def _native_system(native_rhs):
+    """Turn a native right-hand side into a params -> integrator-system binder."""
 
-    return rhs
+    def system(params):
+        def rhs(y: np.ndarray) -> np.ndarray:
+            return np.array(native_rhs((y[0], y[1]), params))
 
+        return rhs
 
-def ple_native_system_xy(params: PLEParams):
-    def rhs(y: np.ndarray) -> np.ndarray:
-        return np.array(ple_native_rhs_xy((y[0], y[1]), params))
-
-    return rhs
+    return system
 
 
-def ple_native_system_xz(params: PLEParams):
-    def rhs(y: np.ndarray) -> np.ndarray:
-        return np.array(ple_native_rhs_xz((y[0], y[1]), params))
-
-    return rhs
+pme_native_system = _native_system(pme_native_rhs)
+ple_native_system_xy = _native_system(ple_native_rhs_xy)
+ple_native_system_xz = _native_system(ple_native_rhs_xz)
 
 
 # ----------------------------------------------------------------------
@@ -276,20 +269,56 @@ def ple_native_system_xz(params: PLEParams):
 # ----------------------------------------------------------------------
 
 
+def _pme_forward(x, y, params: PMEParams, s, linear=False):
+    """Phi = (2 + (1-m)X)/sqrt|b|,  Psi = Y/|b| on components; ``linear`` drops the 2."""
+    shift = 0.0 if linear else 2.0
+    return y / (s * s), (shift + (1.0 - params.m) * x) / s
+
+
+def _pme_inverse(psi, phi, params: PMEParams, s):
+    """X = (Phi sqrt|b| - 2)/(1-m),  Y = |b| Psi on components."""
+    return (phi * s - 2.0) / (1.0 - params.m), (s * s) * psi
+
+
+def _ple_forward(x, y, params: PLEParams, s, linear=False):
+    """Psi = a X with a = 1/(|b|(p-1)),  Phi = k (gamma - n + alpha Y - beta X) with
+    k = -(p-2)/((p-1) sqrt|b|), on components; ``linear`` drops gamma - n."""
+    p = params.p
+    shift = 0.0 if linear else params.gamma - params.n
+    a = 1.0 / (s * s * (p - 1.0))
+    k = -(p - 2.0) / ((p - 1.0) * s)
+    return a * x, k * (shift + alpha_from(params) * y - params.beta * x)
+
+
+def _ple_inverse(psi, phi, params: PLEParams, s):
+    """(X, Y) from (Psi, Phi); needs Psi > 0 and alpha != 0 to solve the Phi definition for Y."""
+    if psi <= 0.0:
+        raise OrientationError(f"the inverse embedding needs Psi > 0, got Psi = {psi}")
+    p = params.p
+    alpha = alpha_from(params)
+    a = 1.0 / (s * s * (p - 1.0))
+    x = psi / a
+    if alpha == 0.0:
+        raise SingularEvaluationError(
+            "alpha = 0: Y cannot be recovered from Phi; use the native (X, Z) system"
+        )
+    return x, (-phi * (p - 1.0) * s / (p - 2.0) - params.gamma + params.n + params.beta * x) / alpha
+
+
+def _scale(params, coeffs: UnifiedCoefficients | None) -> float:
+    return (coeffs if coeffs is not None else unified_coefficients(params)).sqrt_abs_b
+
+
 def pme_to_unified(state, params: PMEParams, coeffs: UnifiedCoefficients | None = None) -> PhaseState:
     """Phi = (2 + (1-m)X)/sqrt|b|,  Psi = Y/|b|."""
     x, y = _pair(state)
-    c = coeffs if coeffs is not None else unified_coefficients(params)
-    s = c.sqrt_abs_b
-    return PhaseState(psi=y / (s * s), phi=(2.0 + (1.0 - params.m) * x) / s)
+    return PhaseState(*_pme_forward(x, y, params, _scale(params, coeffs)))
 
 
 def unified_to_pme(state, params: PMEParams, coeffs: UnifiedCoefficients | None = None) -> NativeStatePME:
     """Inverse transform: X = (Phi sqrt|b| - 2)/(1-m),  Y = |b| Psi."""
     psi, phi = _pair(state)
-    c = coeffs if coeffs is not None else unified_coefficients(params)
-    s = c.sqrt_abs_b
-    return NativeStatePME(x=(phi * s - 2.0) / (1.0 - params.m), y=psi * s * s)
+    return NativeStatePME(*_pme_inverse(psi, phi, params, _scale(params, coeffs)))
 
 
 def ple_to_unified(state, params: PLEParams, coeffs: UnifiedCoefficients | None = None) -> PhaseState:
@@ -303,33 +332,13 @@ def ple_to_unified(state, params: PLEParams, coeffs: UnifiedCoefficients | None 
         x, y = _pair(state)
     if x <= 0.0:
         raise OrientationError(f"the unified embedding needs X > 0, got X = {x}")
-    p, n = params.p, params.n
-    alpha = alpha_from(params)
-    gamma = params.gamma
-    c = coeffs if coeffs is not None else unified_coefficients(params)
-    s = c.sqrt_abs_b
-    a = 1.0 / (s * s * (p - 1.0))
-    phi = -(p - 2.0) / ((p - 1.0) * s) * (gamma - n + alpha * y - params.beta * x)
-    return PhaseState(psi=a * x, phi=phi)
+    return PhaseState(*_ple_forward(x, y, params, _scale(params, coeffs)))
 
 
 def unified_to_ple(state, params: PLEParams, coeffs: UnifiedCoefficients | None = None) -> NativeStatePLE:
     """Inverse transform; needs alpha != 0 to solve the Phi definition for Y."""
     psi, phi = _pair(state)
-    if psi <= 0.0:
-        raise OrientationError(f"the inverse embedding needs Psi > 0, got Psi = {psi}")
-    p, n = params.p, params.n
-    alpha = alpha_from(params)
-    gamma = params.gamma
-    c = coeffs if coeffs is not None else unified_coefficients(params)
-    s = c.sqrt_abs_b
-    a = 1.0 / (s * s * (p - 1.0))
-    x = psi / a
-    if alpha == 0.0:
-        raise SingularEvaluationError(
-            "alpha = 0: Y cannot be recovered from Phi; use the native (X, Z) system"
-        )
-    y = (-phi * (p - 1.0) * s / (p - 2.0) - gamma + n + params.beta * x) / alpha
+    x, y = _ple_inverse(psi, phi, params, _scale(params, coeffs))
     return NativeStatePLE.from_xy(x, y, params)
 
 
@@ -348,51 +357,56 @@ def profile_to_state(sample: ProfileSample, params) -> PhaseState:
         p = params.p
         x = -eta * eta * abs(fp) ** (1.0 - p) * fp
         y = -eta * abs(fp) ** (-p) * fp * f
-        z = eta ** params.gamma * f
-        return ple_to_unified(NativeStatePLE(x, z, y), params)
+        return ple_to_unified((x, y), params)
     raise TypeError(f"expected PMEParams or PLEParams, got {type(params).__name__}")
 
 
+def state_to_profile(state, eta: float, params, coeffs: UnifiedCoefficients | None = None) -> ProfileSample:
+    """Inverse of ``profile_to_state``: the sample at radius ``eta`` carried by a unified state.
+
+    The phase plane forgets the eta scale, so the caller supplies eta.  Raises
+    OutsideSupportError (porous medium) or OrientationError (p-Laplacian) when
+    Psi is not positive, and SingularEvaluationError at p-Laplacian alpha = 0.
+    """
+    psi, phi = _pair(state)
+    if isinstance(params, PMEParams):
+        x, y = _pme_inverse(psi, phi, params, _scale(params, coeffs))
+        if y <= 0.0:
+            raise OutsideSupportError(f"Psi = {psi} cannot give f > 0")
+        f = (y / (eta * eta)) ** (1.0 / (1.0 - params.m))
+        return ProfileSample(float(eta), float(f), float(x * f / eta))
+    x, y = _ple_inverse(psi, phi, params, _scale(params, coeffs))
+    z = NativeStatePLE.from_xy(x, y, params).z
+    fp = -((x / (eta * eta)) ** (1.0 / (2.0 - params.p)))
+    return ProfileSample(float(eta), float(z * eta ** (-params.gamma)), float(fp))
+
+
 # ----------------------------------------------------------------------
-# Trajectory-level mappings (exact chain rule, independent of the
-# conjugacy they are used to test).
+# Trajectory-level mappings by the exact chain rule, independent of the
+# conjugacy they test: the map on states, its linear part / sqrt|b| on derivs.
 # ----------------------------------------------------------------------
+
+
+def _map_trajectory(traj: Trajectory, params, forward, source: str) -> Trajectory:
+    s = unified_coefficients(params).sqrt_abs_b
+    states = forward(traj.states[:, 0], traj.states[:, 1], params, s)
+    derivs = forward(traj.derivs[:, 0], traj.derivs[:, 1], params, s, linear=True)
+    meta = dict(traj.meta)
+    meta.update(system="unified", mapped_from=source)
+    return Trajectory(s * traj.r1, np.column_stack(states), np.column_stack(derivs) / s,
+                      status=traj.status, meta=meta)
 
 
 def pme_trajectory_to_unified(traj: Trajectory, params: PMEParams) -> Trajectory:
     """Map a native (X, Y) trajectory in r to the unified plane in r1 = sqrt|b| r."""
-    c = unified_coefficients(params)
-    s = c.sqrt_abs_b
-    babs = s * s
-    x = traj.states[:, 0]
-    y = traj.states[:, 1]
-    states = np.column_stack([y / babs, (2.0 + (1.0 - params.m) * x) / s])
-    derivs = np.column_stack([traj.derivs[:, 1] / (babs * s), (1.0 - params.m) * traj.derivs[:, 0] / babs])
-    meta = dict(traj.meta)
-    meta.update(system="unified", mapped_from="pme_native")
-    return Trajectory(s * traj.r1, states, derivs, status=traj.status, meta=meta)
+    return _map_trajectory(traj, params, _pme_forward, "pme_native")
 
 
 def ple_trajectory_to_unified(traj: Trajectory, params: PLEParams) -> Trajectory:
     """Map a native (X, Y) p-Laplacian trajectory in r to the unified plane."""
-    c = unified_coefficients(params)
-    s = c.sqrt_abs_b
-    p, n = params.p, params.n
-    alpha = alpha_from(params)
-    gamma = params.gamma
-    a = 1.0 / (s * s * (p - 1.0))
-    k = -(p - 2.0) / ((p - 1.0) * s)
-    x = traj.states[:, 0]
-    y = traj.states[:, 1]
-    if np.any(x <= 0.0):
+    if np.any(traj.states[:, 0] <= 0.0):
         raise OrientationError("the unified embedding needs X > 0 along the whole arc")
-    states = np.column_stack([a * x, k * (gamma - n + alpha * y - params.beta * x)])
-    derivs = np.column_stack(
-        [a * traj.derivs[:, 0] / s, k * (alpha * traj.derivs[:, 1] - params.beta * traj.derivs[:, 0]) / s]
-    )
-    meta = dict(traj.meta)
-    meta.update(system="unified", mapped_from="ple_native_xy")
-    return Trajectory(s * traj.r1, states, derivs, status=traj.status, meta=meta)
+    return _map_trajectory(traj, params, _ple_forward, "ple_native_xy")
 
 
 # ----------------------------------------------------------------------
@@ -412,8 +426,6 @@ def reconstruct_profile(traj: Trajectory, params, anchor: ProfileSample) -> list
     if len(traj) == 0:
         return []
     coeffs = unified_coefficients(params)
-    s = coeffs.sqrt_abs_b
-    babs = s * s
 
     state0 = traj.states[0]
     mapped = profile_to_state(anchor, params)
@@ -423,40 +435,19 @@ def reconstruct_profile(traj: Trajectory, params, anchor: ProfileSample) -> list
             f"anchor maps to ({mapped.psi}, {mapped.phi}), first state is ({state0[0]}, {state0[1]})"
         )
 
-    etas = anchor.eta * np.exp((traj.r1 - traj.r1[0]) / s)
-    samples: list[ProfileSample] = []
-    if isinstance(params, PMEParams):
-        m = params.m
-        for eta, (psi, phi) in zip(etas, traj.states):
-            y = babs * psi
-            if y <= 0.0:
-                warnings.warn(
-                    f"reconstruction truncated at eta = {eta}: Psi = {psi} cannot give f > 0",
-                    TruncationWarning,
-                    stacklevel=2,
-                )
-                break
-            f = (y / (eta * eta)) ** (1.0 / (1.0 - m))
-            x = (phi * s - 2.0) / (1.0 - m)
-            samples.append(ProfileSample(float(eta), float(f), float(x * f / eta)))
-    elif isinstance(params, PLEParams):
-        p = params.p
-        gamma = params.gamma
-        for eta, (psi, phi) in zip(etas, traj.states):
-            if psi <= 0.0:
-                warnings.warn(
-                    f"reconstruction truncated at eta = {eta}: Psi = {psi} violates X > 0",
-                    TruncationWarning,
-                    stacklevel=2,
-                )
-                break
-            native = unified_to_ple(PhaseState(float(psi), float(phi)), params, coeffs)
-            fp = -((native.x / (eta * eta)) ** (1.0 / (2.0 - p)))
-            f = native.z * eta ** (-gamma)
-            samples.append(ProfileSample(float(eta), float(f), float(fp)))
-    else:
-        raise TypeError(f"expected PMEParams or PLEParams, got {type(params).__name__}")
-
+    etas = anchor.eta * np.exp((traj.r1 - traj.r1[0]) / coeffs.sqrt_abs_b)
+    stop = len(traj)
+    bad = np.flatnonzero(traj.states[:, 0] <= 0.0)
+    if len(bad):
+        stop = int(bad[0])
+        warnings.warn(
+            f"reconstruction truncated at eta = {etas[stop]}: Psi = {traj.states[stop, 0]} is not positive",
+            TruncationWarning,
+            stacklevel=2,
+        )
+    samples = [
+        state_to_profile(st, float(eta), params, coeffs) for eta, st in zip(etas[:stop], traj.states[:stop])
+    ]
     samples.sort(key=lambda smp: smp.eta)
     return samples
 
@@ -479,12 +470,7 @@ def straight_line(coeffs: UnifiedCoefficients, cond_tol: float = 1e-9) -> tuple[
         raise SsflowError("straight-line analysis assumes sgn(b) = +1 and Type I similarity")
     if abs(coeffs.c1 - 1.0) < 1e-14:
         raise DegenerateError("c1 = 1 makes the line coefficients blow up")
-    value = (
-        coeffs.c1 * coeffs.c2 **2
-        - (coeffs.c1 - 1.0) * coeffs.c3 * coeffs.c2
-        + (coeffs.c1 - 1.0) ** 2
-    )
-    if abs(value) > cond_tol:
+    if abs(line_condition_value(coeffs)) > cond_tol:
         return None
     a = coeffs.c2 / (coeffs.c1 - 1.0)
     return (a, a)

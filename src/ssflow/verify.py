@@ -44,13 +44,14 @@ from .phase_plane import (
 GRID_M = (-1.0 / 3.0, 0.2, 0.25, 0.5, 2.0, 3.0)
 GRID_N = (1.0, 3.0, 4.0, 5.0)
 
+# (exponent, n, beta) -> native starting points of the conjugacy check
 CONJUGACY_POINTS_PME = {
-    (2.0, 1.0): ((0.0, 0.5), (0.3, 0.2), (0.6, 0.4), (0.2, 0.8), (0.5, 0.1)),
-    (0.25, 3.0): ((0.0, 0.3), (-0.5, 0.2), (0.4, 0.1), (-1.0, 0.4), (0.2, 0.25)),
+    (2.0, 1.0, 1.0 / 3.0): ((0.0, 0.5), (0.3, 0.2), (0.6, 0.4), (0.2, 0.8), (0.5, 0.1)),
+    (0.25, 3.0, 1.0): ((0.0, 0.3), (-0.5, 0.2), (0.4, 0.1), (-1.0, 0.4), (0.2, 0.25)),
 }
 CONJUGACY_POINTS_PLE = {
-    (3.0, 1.0): ((0.1, 0.5), (0.2, 0.3), (0.05, 1.0), (0.3, -0.2), (0.15, 0.8)),
-    (1.25, 2.5): ((0.5, -0.5), (0.3, -0.2), (0.2, 0.1), (0.4, -0.8), (0.6, -0.3)),
+    (3.0, 1.0, 1.0 / 3.0): ((0.1, 0.5), (0.2, 0.3), (0.05, 1.0), (0.3, -0.2), (0.15, 0.8)),
+    (1.25, 2.5, 0.4): ((0.5, -0.5), (0.3, -0.2), (0.2, 0.1), (0.4, -0.8), (0.6, -0.3)),
 }
 
 
@@ -76,8 +77,10 @@ class _Agg:
 
     def add(self, dev: float) -> None:
         self.samples += 1
-        self.max_dev = max(self.max_dev, abs(dev))
-        if abs(dev) > self.tol:
+        dev = abs(dev)
+        if math.isnan(dev) or dev > self.max_dev:  # a NaN stays the reported worst
+            self.max_dev = dev
+        if not dev <= self.tol:  # NaN compares false, so it fails
             self.failures += 1
 
     def result(self, name: str) -> CheckResult:
@@ -217,23 +220,19 @@ def check_conjugacy(tol: float = 1e-6, span: float = 3.0) -> CheckResult:
     """Native flows mapped to the unified plane match direct integration."""
     sett = IntegrationSettings(rel_tol=1e-9, abs_tol=1e-12)
     agg = _Agg(tol)
-    for (m, n), points in CONJUGACY_POINTS_PME.items():
-        params = PMEParams(m, n, 1.0 / 3.0 if (m, n) == (2.0, 1.0) else 1.0)
-        coeffs = unified_coefficients(params)
-        for y0 in points:
-            nat = integrate(pme_native_system(params), y0, (0.0, span / coeffs.sqrt_abs_b), sett)
-            mapped = pme_trajectory_to_unified(nat, params)
-            uni = integrate(unified_system(coeffs), mapped.states[0], (0.0, span), sett)
-            agg.add(compare_trajectories(mapped, uni))
-    ple_cases = {(3.0, 1.0): 1.0 / 3.0, (1.25, 2.5): 0.4}
-    for (p, n), points in CONJUGACY_POINTS_PLE.items():
-        params = PLEParams(p, n, ple_cases[(p, n)])
-        coeffs = unified_coefficients(params)
-        for y0 in points:
-            nat = integrate(ple_native_system_xy(params), y0, (0.0, span / coeffs.sqrt_abs_b), sett)
-            mapped = ple_trajectory_to_unified(nat, params)
-            uni = integrate(unified_system(coeffs), mapped.states[0], (0.0, span), sett)
-            agg.add(compare_trajectories(mapped, uni))
+    cases = (
+        (PMEParams, CONJUGACY_POINTS_PME, pme_native_system, pme_trajectory_to_unified),
+        (PLEParams, CONJUGACY_POINTS_PLE, ple_native_system_xy, ple_trajectory_to_unified),
+    )
+    for params_cls, table, native_system, to_unified in cases:
+        for key, points in table.items():
+            params = params_cls(*key)
+            coeffs = unified_coefficients(params)
+            for y0 in points:
+                nat = integrate(native_system(params), y0, (0.0, span / coeffs.sqrt_abs_b), sett)
+                mapped = to_unified(nat, params)
+                uni = integrate(unified_system(coeffs), mapped.states[0], (0.0, span), sett)
+                agg.add(compare_trajectories(mapped, uni))
     return agg.result("conjugacy")
 
 

@@ -178,6 +178,66 @@ class TestVerifyCommand:
         assert data["status"] == "fail"
 
 
+class TestVerifyAggregation:
+    def test_nan_deviation_fails(self):
+        from ssflow.verify import _Agg
+
+        agg = _Agg(1e-6)
+        agg.add(float("nan"))
+        res = agg.result("x")
+        assert res.passed is False
+        assert not math.isfinite(res.max_dev)
+
+    def test_nan_stays_worst_after_finite_samples(self):
+        from ssflow.verify import _Agg
+
+        agg = _Agg(1e-6)
+        agg.add(1e-9)
+        agg.add(float("nan"))
+        agg.add(1e-8)
+        res = agg.result("x")
+        assert res.passed is False and agg.failures == 1
+        assert math.isnan(res.max_dev)
+
+    def test_infinite_deviation_fails(self):
+        from ssflow.verify import _Agg
+
+        agg = _Agg(1e-6)
+        agg.add(-math.inf)
+        res = agg.result("x")
+        assert res.passed is False and res.max_dev == math.inf
+
+    def test_finite_deviations_unchanged(self):
+        from ssflow.verify import _Agg
+
+        agg = _Agg(1e-6)
+        for dev in (0.0, -5e-7, 2e-7):
+            agg.add(dev)
+        res = agg.result("x")
+        assert res.passed is True and res.max_dev == 5e-7
+
+
+class TestIntegrationFailureContract:
+    def test_overflowing_start_is_a_json_error(self):
+        res = run_cli("integrate", "--eq", "pme", "--m", "2", "--n", "1", "--beta", "0.3",
+                      "--psi0", "1e150", "--phi0", "1e150", "--span", "0", "1")
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        data = json.loads(res.stdout)
+        assert data["status"] == "error"
+        assert data["error"]["type"] == "IntegrationFailure"
+
+
+class TestUnifiedFlagRemoved:
+    def test_unified_flag_is_a_usage_error(self):
+        res = run_cli("integrate", "--unified", "--preset", "barenblatt-line")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        data = json.loads(res.stderr)
+        assert data["status"] == "error"
+        assert data["error"]["type"] == "usage"
+
+
 class TestGoldenTrajectories:
     @pytest.mark.parametrize(
         "preset,golden",

@@ -20,19 +20,24 @@ from ssflow import (
     TruncationWarning,
     UnifiedCoefficients,
     alpha_from,
+    barenblatt_ple,
+    barenblatt_pme,
     integrate,
     line_betas_ple,
     line_betas_pme,
     line_condition_value,
     ple_native_rhs_xy,
     ple_native_rhs_xz,
+    ple_native_system_xy,
     ple_to_unified,
+    ple_trajectory_to_unified,
     pme_native_rhs,
     pme_native_system,
     pme_to_unified,
     pme_trajectory_to_unified,
     profile_to_state,
     reconstruct_profile,
+    state_to_profile,
     straight_line,
     unified_coefficients,
     unified_rhs,
@@ -328,3 +333,49 @@ class TestYamabeCurve:
             dpsi, dphi = unified_rhs((psi, phi), coeffs)
             # the parabola has dPsi/dPhi = -n phi / 2
             assert abs(dpsi + n * phi / 2.0 * dphi) < 1e-12
+
+
+class TestSingleImplementation:
+    """The trajectory maps, scalar maps and profile inverse share one kernel each."""
+
+    SETT = IntegrationSettings(rel_tol=1e-9, abs_tol=1e-12)
+
+    def test_pme_trajectory_states_equal_scalar_map(self):
+        params = PMEParams(0.25, 3.0, 1.0)
+        nat = integrate(pme_native_system(params), (-0.5, 0.2), (0.0, 1.0), self.SETT)
+        mapped = pme_trajectory_to_unified(nat, params)
+        rows = np.array([pme_to_unified(row, params).as_tuple() for row in nat.states])
+        assert len(rows) > 10
+        assert np.array_equal(mapped.states, rows)
+
+    def test_ple_trajectory_states_equal_scalar_map(self):
+        params = PLEParams(1.25, 2.5, 0.4)
+        nat = integrate(ple_native_system_xy(params), (0.3, -0.2), (0.0, 1.0), self.SETT)
+        mapped = ple_trajectory_to_unified(nat, params)
+        rows = np.array([ple_to_unified(row, params).as_tuple() for row in nat.states])
+        assert len(rows) > 10
+        assert np.array_equal(mapped.states, rows)
+
+    @pytest.mark.parametrize("profile", [barenblatt_pme(2.0, 1.0, 1.0), barenblatt_ple(3.0, 1.0, 1.0)])
+    def test_state_to_profile_inverts_profile_to_state(self, profile):
+        params = profile.params
+        for smp in profile.sample(profile.interior_points(25)):
+            back = state_to_profile(profile_to_state(smp, params), smp.eta, params)
+            assert back.eta == smp.eta
+            assert back.f == pytest.approx(smp.f, rel=1e-12)
+            assert back.fprime == pytest.approx(smp.fprime, rel=1e-12)
+
+    def test_state_to_profile_ple_alpha_zero_refused(self):
+        assert alpha_from(PLE) == 0.0
+        with pytest.raises(SingularEvaluationError):
+            state_to_profile(PhaseState(0.1, 0.5), 1.0, PLE)
+
+    def test_state_to_profile_ple_orientation_guard(self):
+        params = PLEParams(3.0, 1.0, 0.25)
+        for psi in (0.0, -0.1):
+            with pytest.raises(OrientationError):
+                state_to_profile(PhaseState(psi, 0.5), 1.0, params)
+
+    def test_state_to_profile_pme_outside_support(self):
+        with pytest.raises(OutsideSupportError):
+            state_to_profile(PhaseState(-0.1, 0.5), 1.0, PME)
