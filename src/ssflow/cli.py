@@ -35,9 +35,9 @@ from .params import (
     unified_coefficients,
 )
 from .phase_plane import reconstruct_profile, state_to_profile, straight_line, unified_system
-from .verify import run_default_verification
+from .verify import _Agg, run_default_verification
 
-_SIM_TYPES = {1: SimilarityType.TYPE_I, 2: SimilarityType.TYPE_II, 3: SimilarityType.TYPE_III}
+_EXIT_CODES = {"ok": 0, "error": 1, "fail": 2}
 
 # Named trajectories with frozen parameters, used for golden-file regression.
 PRESETS = {
@@ -68,34 +68,31 @@ class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as exit code 1 with JSON."""
 
     def error(self, message):
-        _emit_error("usage", message, stream=sys.stderr)
-        raise SystemExit(1)
+        raise SystemExit(_emit_error("usage", message, stream=sys.stderr))
 
 
-def _emit_error(kind: str, message: str, stream=None) -> None:
-    payload = {"status": "error", "error": {"type": kind, "message": message}}
-    json.dump(payload, stream or sys.stdout, indent=2)
-    (stream or sys.stdout).write("\n")
-
-
-def _json_out(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+def _write(text: str, out: str | None, stream=None) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        (stream or sys.stdout).write(text)
+
+
+def _emit_error(kind: str, message: str, stream=None) -> int:
+    return _json_out({"status": "error", "error": {"type": kind, "message": message}}, None, stream)
+
+
+def _json_out(payload: dict, out: str | None, stream=None) -> int:
+    """Write a JSON report; returns the exit code of its status."""
+    _write(json.dumps(payload, indent=2) + "\n", out, stream)
+    return _EXIT_CODES[payload["status"]]
 
 
 def _csv_out(header: tuple[str, ...], rows, out: str | None) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(f"{v:.17g}" for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", out)
 
 
 def _default_tol() -> float:
@@ -109,7 +106,7 @@ def _default_tol() -> float:
 
 
 def _params_from_args(args) -> PMEParams | PLEParams:
-    st = _SIM_TYPES[args.sim_type]
+    st = SimilarityType(args.sim_type)
     if args.eq == "pme":
         if args.m is None:
             raise SsflowError("--m is required for --eq pme")
@@ -164,19 +161,16 @@ def cmd_map(args) -> int:
             c["name"] = f"branch{branch.value}_{c['name']}"
             checks.append(c)
     if not targets:
-        _emit_error(errors[0]["type"] if errors else "map", json.dumps(errors))
-        return 1
-    all_pass = all(c["pass"] for c in checks)
+        return _emit_error(errors[0]["type"] if errors else "map", json.dumps(errors))
     payload = {
-        "status": "ok" if all_pass else "fail",
+        "status": "ok" if all(c["pass"] for c in checks) else "fail",
         "params": _params_dict(params),
         "targets": targets,
         "checks": checks,
     }
     if errors:
         payload["branch_errors"] = errors
-    _json_out(payload, args.out)
-    return 0 if all_pass else 2
+    return _json_out(payload, args.out)
 
 
 def cmd_coeffs(args) -> int:
@@ -197,8 +191,7 @@ def cmd_coeffs(args) -> int:
             "critical": c.critical,
         },
     }
-    _json_out(payload, args.out)
-    return 0
+    return _json_out(payload, args.out)
 
 
 def _resolve_initial_state(args, params):
@@ -272,38 +265,25 @@ def cmd_explicit(args) -> int:
     etas = profile.interior_points(args.points)
     rows = [(s.eta, s.f, s.fprime) for s in profile.sample(etas)]
     _csv_out(("eta", "f", "fprime"), rows, args.out)
-    residual = solutions.max_residual(profile, args.points)
+    agg = _Agg(1e-8)
+    agg.add(solutions.max_residual(profile, args.points))
+    check = agg.result("max_residual")
     footer = {
-        "status": "ok",
+        "status": "ok" if check.passed else "fail",
         "params": _params_dict(profile.params),
-        "checks": [
-            {
-                "name": "max_residual",
-                "pass": bool(residual < 1e-8),
-                "max_dev": residual,
-                "tol": 1e-8,
-            }
-        ],
+        "checks": [check.as_dict()],
         "kind": args.kind,
         "constants": profile.constants,
         "support": [profile.support[0], None if math.isinf(profile.support[1]) else profile.support[1]],
     }
-    if args.out:
-        with open(args.out + ".footer.json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(footer, fh, indent=2)
-            fh.write("\n")
-    else:
-        json.dump(footer, sys.stderr, indent=2)
-        sys.stderr.write("\n")
-    return 0
+    return _json_out(footer, args.out and args.out + ".footer.json", sys.stderr)
 
 
 def cmd_verify(args) -> int:
     if args.grid != "default":
         raise SsflowError(f"unknown grid {args.grid!r}; only 'default' is available")
     report = run_default_verification(tol_identities=_default_tol())
-    _json_out(report, args.out)
-    return 0 if report["status"] == "ok" else 2
+    return _json_out(report, args.out)
 
 
 def _add_param_flags(sub, with_beta=True):
@@ -395,12 +375,10 @@ def main(argv=None) -> int:
             if args.n is None or args.beta is None:
                 raise SsflowError("--n and --beta are required without --preset")
         return args.func(args)
-    except (SsflowError, IntegrationFailure) as exc:
-        _emit_error(type(exc).__name__, str(exc))
-        return 1
+    except (SsflowError, IntegrationFailure, OverflowError) as exc:
+        return _emit_error(type(exc).__name__, str(exc))
     except OSError as exc:
-        _emit_error("io", str(exc))
-        return 1
+        return _emit_error("io", str(exc))
 
 
 if __name__ == "__main__":

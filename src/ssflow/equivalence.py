@@ -24,7 +24,7 @@ from .errors import (
     DimensionTwoError,
     UnphysicalDimensionError,
 )
-from .params import PLEParams, PMEParams, unified_coefficients
+from .params import PLEParams, PMEParams, _is_critical, critical_exponents, unified_coefficients
 
 # Band around the excluded values m_c / p_c inside which the maps refuse to run.
 _EXCLUSION_TOL = 1e-12
@@ -80,31 +80,43 @@ def coefficient_deviation(ca, cb) -> tuple[float, bool]:
 def _guard_pme_source(m: float, n: float, branch: Branch | None) -> None:
     if abs(n - 2.0) <= _EXCLUSION_TOL:
         raise DimensionTwoError("the dimension-change maps are not applicable for n = 2")
-    m_c = (n - 2.0) / n
-    if abs(m - m_c) <= _EXCLUSION_TOL * max(1.0, abs(m_c)):
+    m_c = critical_exponents(n).m_c
+    if _is_critical(m, m_c, _EXCLUSION_TOL):
         raise CriticalError(f"m = m_c({n}) = {m_c}: no double branch at the critical exponent")
     if m == 0.0 and branch is not Branch.BRANCH2:
         # The second branch stays finite at m = 0 (it gives n' = 1); the first divides by 2m.
         raise DegenerateError("m = 0 is only mapped by Branch2")
 
 
+def _image(m: float, n: float, branch: Branch) -> tuple[float, float]:
+    """(n', F) of the forward map on one branch, unguarded; beta' = beta F / (m+1)."""
+    if branch is Branch.BRANCH1:
+        return (n - 2.0) * (m + 1.0) / (2.0 * m), 2.0 * m
+    return (n - 2.0) * (m + 1.0) / (n - 2.0 - n * m), n * (m - 1.0) + 2.0
+
+
+def _preimage(m: float, n_prime: float, branch: Branch) -> tuple[float, float]:
+    """(n, F) of the inverse map on one branch, m = p - 1; F as in ``_image``."""
+    if branch is Branch.BRANCH1:
+        return 2.0 + 2.0 * m * n_prime / (m + 1.0), 2.0 * m
+    denom = n_prime * (1.0 - m) - m - 1.0
+    if abs(denom) <= _EXCLUSION_TOL:
+        raise DegenerateError("Branch2 inverse degenerates: n'(1-m) = m+1")
+    n = 2.0 * (n_prime - m - 1.0) / denom
+    return n, n * (m - 1.0) + 2.0
+
+
 def pme_branch_dimensions(m: float, n: float) -> tuple[float, float]:
     """Raw target dimensions (n'_1, n'_2) without the positivity check."""
     _guard_pme_source(m, n, Branch.BRANCH2 if m == 0.0 else None)
-    n1 = float("nan") if m == 0.0 else (n - 2.0) * (m + 1.0) / (2.0 * m)
-    n2 = (n - 2.0) * (m + 1.0) / (n - 2.0 - n * m)
-    return n1, n2
+    n1 = float("nan") if m == 0.0 else _image(m, n, Branch.BRANCH1)[0]
+    return n1, _image(m, n, Branch.BRANCH2)[0]
 
 
 def ple_preimage_dimensions(p: float, n_prime: float) -> tuple[float, float]:
     """Raw source dimensions (n_1, n_2) inverting the two branches."""
     m = p - 1.0
-    n1 = 2.0 + 2.0 * m * n_prime / (m + 1.0)
-    denom = n_prime * (1.0 - m) - m - 1.0
-    if abs(denom) <= _EXCLUSION_TOL:
-        raise DegenerateError("Branch2 inverse degenerates: n'(1-m) = m+1")
-    n2 = 2.0 * (n_prime - m - 1.0) / denom
-    return n1, n2
+    return _preimage(m, n_prime, Branch.BRANCH1)[0], _preimage(m, n_prime, Branch.BRANCH2)[0]
 
 
 def pme_to_ple(params: PMEParams, branch: Branch) -> PLEParams:
@@ -116,12 +128,8 @@ def pme_to_ple(params: PMEParams, branch: Branch) -> PLEParams:
     m, n, beta = params.m, params.n, params.beta
     _guard_pme_source(m, n, branch)
     p = m + 1.0
-    if branch is Branch.BRANCH1:
-        n_prime = (n - 2.0) * (m + 1.0) / (2.0 * m)
-        beta_prime = beta * 2.0 * m / (m + 1.0)
-    else:
-        n_prime = (n - 2.0) * (m + 1.0) / (n - 2.0 - n * m)
-        beta_prime = beta * (n * (m - 1.0) + 2.0) / (m + 1.0)
+    n_prime, factor = _image(m, n, branch)
+    beta_prime = beta * factor / (m + 1.0)
     if n_prime <= 0.0:
         raise UnphysicalDimensionError(
             f"{branch.name} of (m={m}, n={n}) gives non-positive dimension n'={n_prime}",
@@ -139,19 +147,12 @@ def ple_to_pme(params: PLEParams, branch: Branch) -> PMEParams:
     p, n_prime, beta_prime = params.p, params.n, params.beta
     if abs(p - 1.0) <= _EXCLUSION_TOL:
         raise DegenerateError("p = 1 maps to m = 0; the inverse branch pair is not defined there")
-    p_c = 2.0 * n_prime / (n_prime + 1.0)
-    if abs(p - p_c) <= _EXCLUSION_TOL * max(1.0, abs(p_c)):
+    p_c = critical_exponents(n_prime).p_c
+    if _is_critical(p, p_c, _EXCLUSION_TOL):
         raise CriticalError(f"p = p_c({n_prime}) = {p_c}: critical identification point")
     m = p - 1.0
-    if branch is Branch.BRANCH1:
-        n = 2.0 + 2.0 * m * n_prime / (m + 1.0)
-        beta = beta_prime * (m + 1.0) / (2.0 * m)
-    else:
-        denom = n_prime * (1.0 - m) - m - 1.0
-        if abs(denom) <= _EXCLUSION_TOL:
-            raise DegenerateError("Branch2 inverse degenerates: n'(1-m) = m+1")
-        n = 2.0 * (n_prime - m - 1.0) / denom
-        beta = beta_prime * (m + 1.0) / (n * (m - 1.0) + 2.0)
+    n, factor = _preimage(m, n_prime, branch)
+    beta = beta_prime * (m + 1.0) / factor
     if n <= 0.0:
         raise UnphysicalDimensionError(
             f"{branch.name} inverse of (p={p}, n'={n_prime}) gives non-positive dimension n={n}",
@@ -197,11 +198,11 @@ def verify_equivalence(pme: PMEParams, ple: PLEParams, tol: float = 1e-10) -> Eq
 
     lhs = (pme.beta * (pme.n - 2.0)) ** 2
     rhs = (ple.beta * ple.n) ** 2
-    beta_identity = abs(lhs - rhs) <= tol * max(1.0, abs(lhs), abs(rhs))
+    beta_identity = _rel_dev(lhs, rhs) <= tol
 
     ratio = cb.b / ca.b
     target = (ple.n / (pme.n - 2.0)) ** 2
-    b_ratio = abs(ratio - target) <= tol * max(1.0, abs(ratio), abs(target))
+    b_ratio = _rel_dev(ratio, target) <= tol
 
     sign_match = ca.const_term == cb.const_term
 

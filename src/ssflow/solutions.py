@@ -35,6 +35,7 @@ from .params import (
     PLEParams,
     PMEParams,
     SimilarityType,
+    _is_critical,
     alpha_from,
     critical_exponents,
 )
@@ -76,6 +77,8 @@ class ClosedFormProfile:
         where profiles singular like eta^q (q < 0) make the residual an
         ill-conditioned cancellation of large terms.
         """
+        if count < 1:
+            raise DomainError(f"count must be at least 1, got {count}")
         lo, hi = self.support
         if math.isinf(hi):
             lo_eff = lo * (1.0 + 1e-3) if lo > 0.0 else 1e-2
@@ -235,7 +238,7 @@ def dipole_pme(m: float, n: float, K: float = 1.0) -> ClosedFormProfile:
     if m == 0.0:
         raise DegenerateError("m = 0 has no dipole profile of this form")
     crit = critical_exponents(n)
-    if abs(m - crit.m_c) <= 1e-12 * max(1.0, abs(crit.m_c)):
+    if _is_critical(m, crit.m_c, 1e-12):
         raise CriticalError("the dipole formula divides by b = 0 at m = m_c")
     b = 2.0 * n * (m - crit.m_c) / (m - 1.0)
     q = -(n - 2.0) / m
@@ -297,7 +300,7 @@ def dipole_derivative_ple(p: float, n: float, c: float = 1.0) -> ClosedFormProfi
     if c <= 0.0:
         raise DomainError("c must be positive")
     crit = critical_exponents(n)
-    if abs(p - crit.p_c) <= 1e-12 * max(1.0, abs(crit.p_c)):
+    if _is_critical(p, crit.p_c, 1e-12):
         raise CriticalError("the derivative formula divides by b = 0 at p = p_c")
     b = p * (n + 1.0) * (p - crit.p_c) / ((p - 2.0) * (p - 1.0))
     E = (p - 2.0) * b / p
@@ -475,7 +478,7 @@ def ple_residual(profile, params: PLEParams, eta: float) -> float:
 
 
 def max_residual(profile: ClosedFormProfile, count: int = 50) -> float:
-    """Worst |residual| over log-spaced interior points of the support."""
+    """Worst |residual| over log-spaced interior points of the support (NaN if any is NaN)."""
     params = profile.params
     if isinstance(params, PMEParams):
         res = pme_residual
@@ -483,10 +486,8 @@ def max_residual(profile: ClosedFormProfile, count: int = 50) -> float:
         res = ple_residual
     else:
         raise TypeError("profile does not carry usable parameters")
-    worst = 0.0
-    for eta in profile.interior_points(count):
-        worst = max(worst, abs(res(profile, params, float(eta))))
-    return worst
+    etas = profile.interior_points(count)
+    return float(np.max([abs(res(profile, params, float(eta))) for eta in etas]))
 
 
 def selfsimilar_value(params, profile, x_radius: float, t: float, T: Optional[float] = None) -> float:

@@ -25,7 +25,7 @@ from .equivalence import (
 )
 from .errors import UnphysicalDimensionError
 from .integrator import IntegrationSettings, compare_trajectories, integrate
-from .params import PLEParams, PMEParams, SimilarityType, critical_exponents, unified_coefficients
+from .params import PLEParams, PMEParams, SimilarityType, _is_critical, critical_exponents, unified_coefficients
 from .phase_plane import (
     line_betas_ple,
     line_betas_pme,
@@ -113,8 +113,7 @@ def default_grid_cells(skipped: list[dict] | None = None):
     """Yield valid (m, n, beta) cells; record precondition skips."""
     for m in GRID_M:
         for n in GRID_N:
-            crit = critical_exponents(n)
-            if abs(m - crit.m_c) <= 1e-9 * max(1.0, abs(crit.m_c)):
+            if _is_critical(m, critical_exponents(n).m_c, 1e-9):
                 if skipped is not None:
                     skipped.append({"m": m, "n": n, "reason": "m = m_c (critical)"})
                 continue

@@ -238,6 +238,35 @@ class TestUnifiedFlagRemoved:
         assert data["error"]["type"] == "usage"
 
 
+class TestExplicitFalseSuccess:
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_non_positive_points_is_a_domain_error(self, points):
+        res = run_cli("explicit", "--kind", "barenblatt-pme", "--m", "3", "--n", "1",
+                      "--points", points)
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert "eta,f,fprime" not in res.stdout
+        data = json.loads(res.stdout)
+        assert data["status"] == "error"
+        assert data["error"]["type"] == "DomainError"
+
+    def test_failed_residual_check_exits_two(self):
+        res = run_cli("explicit", "--kind", "dipole-pme", "--m", "2", "--n", "1", "--K", "1e200")
+        assert res.returncode == 2
+        footer = json.loads(res.stderr)
+        assert footer["checks"][0]["pass"] is False
+        assert footer["status"] == "fail"
+
+    def test_overflow_is_a_json_error(self):
+        res = run_cli("explicit", "--kind", "barenblatt-pme", "--m", "1.001", "--n", "1",
+                      "--C", "1e10")
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        data = json.loads(res.stdout)
+        assert data["status"] == "error"
+        assert data["error"]["type"] == "OverflowError"
+
+
 class TestGoldenTrajectories:
     @pytest.mark.parametrize(
         "preset,golden",

@@ -186,3 +186,18 @@ class TestCompareTrajectories:
 
         coarse, fine = dev(1e-6), dev(1e-8)
         assert coarse / max(fine, 1e-16) > 4.0
+
+    def test_nan_derivatives_propagate(self):
+        # a NaN deviation must stay NaN, so a worst-of check can never pass on it
+        from ssflow.verify import _Agg
+
+        r1 = np.linspace(0.0, 1.0, 5)
+        states = np.column_stack([r1, r1 * r1])
+        derivs = np.column_stack([np.ones(5), np.full(5, np.nan)])
+        a = Trajectory(r1, states, derivs)
+        b = Trajectory(r1, states + 1e-3, derivs)
+        dev = compare_trajectories(a, b)
+        assert math.isnan(dev)
+        agg = _Agg(1e-6)
+        agg.add(dev)
+        assert agg.result("conjugacy").passed is False
