@@ -88,6 +88,12 @@ def _guard_pme_source(m: float, n: float, branch: Branch | None) -> None:
         raise DegenerateError("m = 0 is only mapped by Branch2")
 
 
+def _guard_p_zero(m: float) -> None:
+    # beta' = beta F / (m+1) and the inverse dimension formulas divide by m + 1 = p.
+    if abs(m + 1.0) <= _EXCLUSION_TOL:
+        raise DegenerateError("p = m + 1 = 0: the branch maps divide by m + 1")
+
+
 def _image(m: float, n: float, branch: Branch) -> tuple[float, float]:
     """(n', F) of the forward map on one branch, unguarded; beta' = beta F / (m+1)."""
     if branch is Branch.BRANCH1:
@@ -97,6 +103,7 @@ def _image(m: float, n: float, branch: Branch) -> tuple[float, float]:
 
 def _preimage(m: float, n_prime: float, branch: Branch) -> tuple[float, float]:
     """(n, F) of the inverse map on one branch, m = p - 1; F as in ``_image``."""
+    _guard_p_zero(m)
     if branch is Branch.BRANCH1:
         return 2.0 + 2.0 * m * n_prime / (m + 1.0), 2.0 * m
     denom = n_prime * (1.0 - m) - m - 1.0
@@ -122,11 +129,12 @@ def ple_preimage_dimensions(p: float, n_prime: float) -> tuple[float, float]:
 def pme_to_ple(params: PMEParams, branch: Branch) -> PLEParams:
     """Map (m, n, beta) to the matched p-Laplacian parameters on one branch.
 
-    Requires n != 2 and m outside {0 (Branch1 only), m_c, 1}.  A non-positive
+    Requires n != 2 and m outside {-1, 0 (Branch1 only), m_c, 1}.  A non-positive
     target dimension raises, with the raw value attached to the error.
     """
     m, n, beta = params.m, params.n, params.beta
     _guard_pme_source(m, n, branch)
+    _guard_p_zero(m)
     p = m + 1.0
     n_prime, factor = _image(m, n, branch)
     beta_prime = beta * factor / (m + 1.0)
@@ -142,7 +150,7 @@ def ple_to_pme(params: PLEParams, branch: Branch) -> PMEParams:
     """Invert the dimension-change map on one branch: m = p - 1.
 
     Requires p != p_c(n') (the critical identification point) and p not in
-    {1, 2}.  Round-tripping the forward map on the same branch is the identity.
+    {0, 1, 2}.  Round-tripping the forward map on the same branch is the identity.
     """
     p, n_prime, beta_prime = params.p, params.n, params.beta
     if abs(p - 1.0) <= _EXCLUSION_TOL:

@@ -11,6 +11,10 @@ The residual evaluators apply the profile ODEs
 and return exactly 0 (up to rounding) on the closed forms.  Evaluators are
 strict about support: outside the open positivity set they raise instead of
 returning 0, so free-boundary points are never silently verified.
+
+``scipy.integrate`` is imported only inside the two functions that call
+``quad`` (``dipole_derivative_ple`` and ``mass_integral``): its import costs
+most of a CLI start-up, and no other code path needs a quadrature.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     CriticalError,
@@ -312,6 +315,7 @@ def dipole_derivative_ple(p: float, n: float, c: float = 1.0) -> ClosedFormProfi
         raise DomainError("unbounded derivative support: no right endpoint to anchor f")
     edge = support[1]
     e_in = 1.0 / (p - 2.0)
+    from scipy.integrate import quad
 
     def w(eta):
         val = c - coef * eta ** E
@@ -522,6 +526,8 @@ def mass_integral(profile: ClosedFormProfile, params, t: float = 1.0, T: Optiona
     Integrates u(r, t) r^(n-1) over the radial support and multiplies by the
     area of the unit sphere in dimension n.
     """
+    from scipy.integrate import quad
+
     n = params.n
     omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
     if params.sim_type is SimilarityType.TYPE_I:

@@ -267,6 +267,78 @@ class TestExplicitFalseSuccess:
         assert data["error"]["type"] == "OverflowError"
 
 
+class TestImportBudget:
+    """SciPy is imported only by the code paths that call ``quad``."""
+
+    @staticmethod
+    def _run_in_fresh_process(argv=None):
+        # main() prints CSV/JSON to stdout, so the probe result goes on the last line
+        code = (
+            "import json, sys\n"
+            "import ssflow, ssflow.cli\n"
+            f"argv = {argv!r}\n"
+            "rc = None if argv is None else ssflow.cli.main(argv)\n"
+            "print()\n"
+            "print(json.dumps({'rc': rc, 'scipy': 'scipy' in sys.modules}))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        return json.loads(res.stdout.splitlines()[-1]), res
+
+    def test_package_import_leaves_scipy_unloaded(self):
+        probe, _ = self._run_in_fresh_process()
+        assert probe["scipy"] is False
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coeffs", "--eq", "pme", "--m", "2", "--n", "1", "--beta", "0.25"],
+            ["map", "--eq", "pme", "--m", "0.25", "--n", "3", "--beta", "1"],
+            ["map", "--eq", "ple", "--p", "1.25", "--n", "5", "--beta", "-0.2"],
+            ["integrate", "--preset", "barenblatt-line"],
+            ["profile", "--preset", "yamabe-vertex"],
+            ["explicit", "--kind", "barenblatt-pme", "--m", "2", "--n", "1"],
+        ],
+        ids=["coeffs", "map-pme", "map-ple", "integrate", "profile", "explicit-barenblatt"],
+    )
+    def test_quad_free_commands_leave_scipy_unloaded(self, argv):
+        probe, _ = self._run_in_fresh_process(argv)
+        assert probe["rc"] == 0
+        assert probe["scipy"] is False
+
+    def test_dipole_derivative_profile_loads_scipy_lazily(self):
+        probe, res = self._run_in_fresh_process(
+            ["explicit", "--kind", "dipole-derivative-ple", "--p", "3", "--n", "1"])
+        assert probe["rc"] == 0
+        footer = json.loads(res.stderr)
+        assert footer["status"] == "ok"
+        assert footer["checks"][0]["pass"] is True
+        assert probe["scipy"] is True
+
+
+class TestExponentMinusOneContract:
+    """m = -1 (p = 0) makes the maps divide by m + 1: a JSON error, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("map", "--eq", "pme", "--m", "-1", "--n", "3", "--beta", "0.5"),
+            ("map", "--eq", "ple", "--p", "0", "--n", "3", "--beta", "0.5"),
+        ],
+        ids=["pme-m-minus-one", "ple-p-zero"],
+    )
+    def test_map_is_a_degenerate_json_error(self, argv):
+        res = run_cli(*argv)
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        data = json.loads(res.stdout)
+        assert data["status"] == "error"
+        assert data["error"]["type"] == "DegenerateError"
+
+
 class TestGoldenTrajectories:
     @pytest.mark.parametrize(
         "preset,golden",

@@ -70,6 +70,17 @@ class TestPmeToPle:
         assert pme_to_ple(PMEParams(2.0, 3.0, 0.0), B1).beta == 0.0
         assert pme_to_ple(PMEParams(0.25, 3.0, 0.0), B2).beta == 0.0
 
+    @pytest.mark.parametrize("branch", [B1, B2])
+    @pytest.mark.parametrize("m", [-1.0, -1.0 + 1e-13])
+    def test_m_minus_one_refused(self, m, branch):
+        # beta' = beta F / (m+1) divides by zero at p = m + 1 = 0
+        with pytest.raises(DegenerateError):
+            pme_to_ple(PMEParams(m, 3.0, 0.5), branch)
+
+    def test_m_minus_one_branch_dimensions_still_defined(self):
+        # the dimension formulas multiply by m + 1, so both targets are 0
+        assert pme_branch_dimensions(-1.0, 3.0) == (0.0, 0.0)
+
 
 class TestPleToPme:
     def test_inverse_of_quarter_case(self):
@@ -95,6 +106,17 @@ class TestPleToPme:
     def test_p_one_refused(self):
         with pytest.raises(DegenerateError):
             ple_to_pme(PLEParams(1.0, 3.0, 0.1), B1)
+
+    @pytest.mark.parametrize("branch", [B1, B2])
+    @pytest.mark.parametrize("p", [0.0, 1e-13])
+    def test_p_zero_refused(self, p, branch):
+        with pytest.raises(DegenerateError):
+            ple_to_pme(PLEParams(p, 3.0, 0.5), branch)
+
+    @pytest.mark.parametrize("p", [0.0, -1e-13])
+    def test_p_zero_preimage_dimensions_refused(self, p):
+        with pytest.raises(DegenerateError):
+            ple_preimage_dimensions(p, 3.0)
 
 
 class TestRoundTrip:
