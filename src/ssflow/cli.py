@@ -39,28 +39,11 @@ from .verify import _Agg, run_default_verification
 
 _EXIT_CODES = {"ok": 0, "error": 1, "fail": 2}
 
-# Named trajectories with frozen parameters, used for golden-file regression.
+# Named trajectories with frozen parameters, used for golden-file regression:
+# (params, (psi0, phi0), span); phi0 = "line" starts on the invariant straight line.
 PRESETS = {
-    "barenblatt-line": {
-        "eq": "pme",
-        "m": 2.0,
-        "n": 1.0,
-        "beta": 1.0 / 3.0,
-        "sim_type": 1,
-        "start": "line",
-        "psi0": 0.01,
-        "span": (0.0, 5.0),
-    },
-    "yamabe-vertex": {
-        "eq": "pme",
-        "m": 1.0 / 3.0,
-        "n": 4.0,
-        "beta": 0.0,
-        "sim_type": 2,
-        "psi0": 2.0,
-        "phi0": 0.0,
-        "span": (0.0, 6.0),
-    },
+    "barenblatt-line": (PMEParams(2.0, 1.0, 1.0 / 3.0), (0.01, "line"), (0.0, 5.0)),
+    "yamabe-vertex": (PMEParams(1.0 / 3.0, 4.0, 0.0, SimilarityType.TYPE_II), (2.0, 0.0), (0.0, 6.0)),
 }
 
 
@@ -106,6 +89,8 @@ def _default_tol() -> float:
 
 
 def _params_from_args(args) -> PMEParams | PLEParams:
+    if args.n is None or args.beta is None:
+        raise SsflowError("--n and --beta are required")
     st = SimilarityType(args.sim_type)
     if args.eq == "pme":
         if args.m is None:
@@ -161,7 +146,8 @@ def cmd_map(args) -> int:
             c["name"] = f"branch{branch.value}_{c['name']}"
             checks.append(c)
     if not targets:
-        return _emit_error(errors[0]["type"] if errors else "map", json.dumps(errors))
+        error = {"type": errors[0]["type"], "message": json.dumps(errors), "branches": errors}
+        return _json_out({"status": "error", "error": error}, None)
     payload = {
         "status": "ok" if all(c["pass"] for c in checks) else "fail",
         "params": _params_dict(params),
@@ -194,38 +180,21 @@ def cmd_coeffs(args) -> int:
     return _json_out(payload, args.out)
 
 
-def _resolve_initial_state(args, params):
-    coeffs = unified_coefficients(params)
-    if getattr(args, "preset", None):
-        preset = PRESETS[args.preset]
-        if preset.get("start") == "line":
-            a1, a2 = straight_line(coeffs)
-            psi0 = preset["psi0"]
-            return (psi0, a1 * psi0 + a2), preset["span"], coeffs
-        return (preset["psi0"], preset["phi0"]), preset["span"], coeffs
-    if args.psi0 is None or args.phi0 is None:
-        raise SsflowError("--psi0 and --phi0 are required without --preset")
-    return (args.psi0, args.phi0), tuple(args.span), coeffs
-
-
-def _apply_preset_params(args):
-    if getattr(args, "preset", None):
-        preset = PRESETS[args.preset]
-        args.eq = preset["eq"]
-        args.m = preset["m"]
-        args.n = preset["n"]
-        args.beta = preset["beta"]
-        args.sim_type = preset["sim_type"]
-
-
 def _integrate_from_args(args):
-    _apply_preset_params(args)
-    params = _params_from_args(args)
-    y0, span, coeffs = _resolve_initial_state(args, params)
+    if args.preset:
+        params, (psi0, phi0), span = PRESETS[args.preset]
+    else:
+        params, psi0, phi0, span = _params_from_args(args), args.psi0, args.phi0, tuple(args.span)
+    coeffs = unified_coefficients(params)
+    if phi0 == "line":
+        a1, a2 = straight_line(coeffs)
+        phi0 = a1 * psi0 + a2
+    elif psi0 is None or phi0 is None:
+        raise SsflowError("--psi0 and --phi0 are required without --preset")
     settings = IntegrationSettings(
         rel_tol=args.rel_tol, abs_tol=args.abs_tol, max_step=args.max_step, max_steps=args.max_steps
     )
-    return params, coeffs, integrate(unified_system(coeffs), y0, span, settings)
+    return params, coeffs, integrate(unified_system(coeffs), (psi0, phi0), span, settings)
 
 
 def cmd_integrate(args) -> int:
@@ -286,13 +255,12 @@ def cmd_verify(args) -> int:
     return _json_out(report, args.out)
 
 
-def _add_param_flags(sub, with_beta=True):
+def _add_param_flags(sub):
     sub.add_argument("--eq", choices=("pme", "ple"), default="pme")
     sub.add_argument("--m", type=float, default=None, help="porous-medium exponent (pme)")
     sub.add_argument("--p", type=float, default=None, help="p-Laplacian exponent (ple)")
     sub.add_argument("--n", type=float, default=None, help="space dimension (any positive real)")
-    if with_beta:
-        sub.add_argument("--beta", type=float, default=None, help="similarity exponent beta")
+    sub.add_argument("--beta", type=float, default=None, help="similarity exponent beta")
     sub.add_argument("--sim-type", type=int, choices=(1, 2, 3), default=1, dest="sim_type")
 
 
@@ -365,15 +333,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    # map/coeffs/integrate/profile need --n whenever params are built from flags
     try:
-        if getattr(args, "n", None) is None and args.func in (cmd_map, cmd_coeffs):
-            raise SsflowError("--n is required")
-        if getattr(args, "beta", None) is None and args.func in (cmd_map, cmd_coeffs):
-            raise SsflowError("--beta is required")
-        if args.func in (cmd_integrate, cmd_profile) and not getattr(args, "preset", None):
-            if args.n is None or args.beta is None:
-                raise SsflowError("--n and --beta are required without --preset")
         return args.func(args)
     except (SsflowError, IntegrationFailure, OverflowError) as exc:
         return _emit_error(type(exc).__name__, str(exc))

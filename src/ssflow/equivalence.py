@@ -106,10 +106,7 @@ def _preimage(m: float, n_prime: float, branch: Branch) -> tuple[float, float]:
     _guard_p_zero(m)
     if branch is Branch.BRANCH1:
         return 2.0 + 2.0 * m * n_prime / (m + 1.0), 2.0 * m
-    denom = n_prime * (1.0 - m) - m - 1.0
-    if abs(denom) <= _EXCLUSION_TOL:
-        raise DegenerateError("Branch2 inverse degenerates: n'(1-m) = m+1")
-    n = 2.0 * (n_prime - m - 1.0) / denom
+    n = 2.0 * (n_prime - m - 1.0) / (n_prime * (1.0 - m) - m - 1.0)
     return n, n * (m - 1.0) + 2.0
 
 
@@ -123,7 +120,11 @@ def pme_branch_dimensions(m: float, n: float) -> tuple[float, float]:
 def ple_preimage_dimensions(p: float, n_prime: float) -> tuple[float, float]:
     """Raw source dimensions (n_1, n_2) inverting the two branches."""
     m = p - 1.0
-    return _preimage(m, n_prime, Branch.BRANCH1)[0], _preimage(m, n_prime, Branch.BRANCH2)[0]
+    n1 = _preimage(m, n_prime, Branch.BRANCH1)[0]
+    # n'(1-m) - (m+1) = (n'+1)(p_c - p): in ple_to_pme the p_c guard refuses this point.
+    if abs(n_prime * (1.0 - m) - m - 1.0) <= _EXCLUSION_TOL:
+        raise DegenerateError("Branch2 inverse degenerates: n'(1-m) = m+1")
+    return n1, _preimage(m, n_prime, Branch.BRANCH2)[0]
 
 
 def pme_to_ple(params: PMEParams, branch: Branch) -> PLEParams:
@@ -192,14 +193,15 @@ def verify_equivalence(pme: PMEParams, ple: PLEParams, tol: float = 1e-10) -> Eq
 
     Reports the field-wise coefficient match, beta^2 (n-2)^2 = (beta' n')^2,
     b'/b = n'^2/(n-2)^2, sgn(b) = sgn(b'), and the branch-sum diagnostic.
-    Refuses critical parameters (the ratio identities divide by b).
+    Refuses critical parameters (the ratio identities divide by b) and the
+    porous-medium sources the maps refuse (n = 2, m = -1).
     """
     ca = unified_coefficients(pme)
     cb = unified_coefficients(ple)
     if ca.critical or cb.critical:
         raise CriticalError("identity checks divide by b; critical parameters refused")
-    if abs(pme.n - 2.0) <= _EXCLUSION_TOL:
-        raise DimensionTwoError("identity targets are undefined at n = 2")
+    n1, n2 = pme_branch_dimensions(pme.m, pme.n)
+    _guard_p_zero(pme.m)
 
     c_max, flipped = coefficient_deviation(ca, cb)
     c_match = c_max <= tol and ca.const_term == cb.const_term and ca.psi_coeff == cb.psi_coeff
@@ -214,7 +216,6 @@ def verify_equivalence(pme: PMEParams, ple: PLEParams, tol: float = 1e-10) -> Eq
 
     sign_match = ca.const_term == cb.const_term
 
-    n1, n2 = pme_branch_dimensions(pme.m, pme.n)
     sum_value = 1.0 / n1 + 1.0 / n2
 
     return EquivalenceReport(

@@ -17,6 +17,7 @@ of the shared coefficient tuple (c1, c2, c3, sqrt|b|).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -180,6 +181,8 @@ def alpha_from(params) -> float:
     raise TypeError(f"expected PMEParams or PLEParams, got {type(params).__name__}")
 
 
+# Bounded: callers that draw a fresh n per operation would grow an unbounded cache.
+@functools.lru_cache(maxsize=256, typed=True)
 def critical_exponents(n: float) -> CriticalExponents:
     """Evaluate m_c = (n-2)/n, m_s = (n-2)/(n+2), p_c = 2n/(n+1), p_s = 2n/(n+2)."""
     if n <= 0.0:

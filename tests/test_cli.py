@@ -339,6 +339,45 @@ class TestExponentMinusOneContract:
         assert data["error"]["type"] == "DegenerateError"
 
 
+class TestMapAllBranchesFail:
+    def test_error_lists_every_branch(self):
+        res = run_cli("map", "--eq", "pme", "--m", "-1", "--n", "3", "--beta", "0.5")
+        assert res.returncode == 1
+        error = json.loads(res.stdout)["error"]
+        assert [b["branch"] for b in error["branches"]] == [1, 2]
+        assert all(set(b) == {"branch", "type", "message"} for b in error["branches"])
+        assert all(b["type"] == "DegenerateError" for b in error["branches"])
+        # the older fields keep their meaning: the first branch's type, the list as a string
+        assert error["type"] == error["branches"][0]["type"]
+        assert json.loads(error["message"]) == error["branches"]
+
+
+class TestRequiredParamFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("map", "--eq", "pme", "--m", "2", "--beta", "0.5"),
+            ("coeffs", "--eq", "ple", "--p", "3", "--n", "1"),
+            ("integrate", "--eq", "pme", "--m", "2", "--psi0", "0.2", "--phi0", "1"),
+            ("profile", "--eq", "pme", "--m", "2", "--n", "1", "--psi0", "0.2", "--phi0", "1"),
+        ],
+        ids=["map", "coeffs", "integrate", "profile"],
+    )
+    def test_missing_n_or_beta_is_one_error(self, argv):
+        res = run_cli(*argv)
+        assert res.returncode == 1
+        assert json.loads(res.stdout) == {
+            "status": "error",
+            "error": {"type": "SsflowError", "message": "--n and --beta are required"},
+        }
+
+    def test_preset_overrides_param_flags(self):
+        plain = run_cli("profile", "--preset", "yamabe-vertex")
+        flagged = run_cli("profile", "--preset", "yamabe-vertex", "--eq", "ple", "--p", "3", "--beta", "1")
+        assert plain.returncode == flagged.returncode == 0
+        assert flagged.stdout == plain.stdout
+
+
 class TestGoldenTrajectories:
     @pytest.mark.parametrize(
         "preset,golden",

@@ -118,6 +118,16 @@ class TestPleToPme:
         with pytest.raises(DegenerateError):
             ple_preimage_dimensions(p, 3.0)
 
+    @pytest.mark.parametrize("n_prime", [0.5, 2.0, 3.0, 7.5])
+    def test_branch2_inverse_degeneracy_is_p_c(self, n_prime):
+        # n'(1-m) = m+1 is p = p_c(n'): the raw preimage refuses it, the map's p_c guard first
+        p_c = 2.0 * n_prime / (n_prime + 1.0)
+        with pytest.raises(DegenerateError, match="Branch2 inverse degenerates"):
+            ple_preimage_dimensions(p_c, n_prime)
+        for branch in (B1, B2):
+            with pytest.raises(CriticalError):
+                ple_to_pme(PLEParams(p_c, n_prime, 0.1), branch)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("branch", [B1, B2])
@@ -234,6 +244,19 @@ class TestVerifyEquivalence:
     def test_critical_refused(self):
         with pytest.raises(CriticalError):
             verify_equivalence(PMEParams(1.0 / 3.0, 3.0, 0.1), PLEParams(3.0, 3.0, 0.1))
+
+    def test_dimension_two_refused_like_the_maps(self):
+        pme = PMEParams(1.7, 2.0, 0.1)
+        with pytest.raises(DimensionTwoError) as from_map:
+            pme_to_ple(pme, B1)
+        with pytest.raises(DimensionTwoError) as from_check:
+            verify_equivalence(pme, PLEParams(3.0, 3.0, 0.1))
+        assert str(from_check.value) == str(from_map.value)
+
+    def test_m_minus_one_refused(self):
+        # both branch dimensions are 0 at p = m + 1 = 0, so the branch sum would divide by 0
+        with pytest.raises(DegenerateError):
+            verify_equivalence(PMEParams(-1.0, 3.0, 0.5), PLEParams(0.5, 3.0, 0.5))
 
     def test_b_ratio_identity_value(self):
         pme = PMEParams(0.25, 3.0, 1.0)
