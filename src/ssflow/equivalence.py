@@ -101,13 +101,16 @@ def _image(m: float, n: float, branch: Branch) -> tuple[float, float]:
     return (n - 2.0) * (m + 1.0) / (n - 2.0 - n * m), n * (m - 1.0) + 2.0
 
 
-def _preimage(m: float, n_prime: float, branch: Branch) -> tuple[float, float]:
-    """(n, F) of the inverse map on one branch, m = p - 1; F as in ``_image``."""
-    _guard_p_zero(m)
+def _preimage(p: float, n_prime: float, branch: Branch) -> tuple[float, float]:
+    """(n, F) of the inverse map on one branch; F as in ``_image``, so beta = beta' p / F.
+
+    Written in p rather than m = p - 1, whose rounding would lose the low bits of a small p.
+    """
+    _guard_p_zero(p - 1.0)
     if branch is Branch.BRANCH1:
-        return 2.0 + 2.0 * m * n_prime / (m + 1.0), 2.0 * m
-    n = 2.0 * (n_prime - m - 1.0) / (n_prime * (1.0 - m) - m - 1.0)
-    return n, n * (m - 1.0) + 2.0
+        return 2.0 + 2.0 * (p - 1.0) * n_prime / p, 2.0 * (p - 1.0)
+    n = 2.0 * (n_prime - p) / (n_prime * (2.0 - p) - p)
+    return n, n * (p - 2.0) + 2.0
 
 
 def pme_branch_dimensions(m: float, n: float) -> tuple[float, float]:
@@ -119,12 +122,11 @@ def pme_branch_dimensions(m: float, n: float) -> tuple[float, float]:
 
 def ple_preimage_dimensions(p: float, n_prime: float) -> tuple[float, float]:
     """Raw source dimensions (n_1, n_2) inverting the two branches."""
-    m = p - 1.0
-    n1 = _preimage(m, n_prime, Branch.BRANCH1)[0]
-    # n'(1-m) - (m+1) = (n'+1)(p_c - p): in ple_to_pme the p_c guard refuses this point.
-    if abs(n_prime * (1.0 - m) - m - 1.0) <= _EXCLUSION_TOL:
+    n1 = _preimage(p, n_prime, Branch.BRANCH1)[0]
+    # n'(2-p) - p = (n'+1)(p_c - p): in ple_to_pme the p_c guard refuses this point.
+    if abs(n_prime * (2.0 - p) - p) <= _EXCLUSION_TOL:
         raise DegenerateError("Branch2 inverse degenerates: n'(1-m) = m+1")
-    return n1, _preimage(m, n_prime, Branch.BRANCH2)[0]
+    return n1, _preimage(p, n_prime, Branch.BRANCH2)[0]
 
 
 def pme_to_ple(params: PMEParams, branch: Branch) -> PLEParams:
@@ -159,15 +161,14 @@ def ple_to_pme(params: PLEParams, branch: Branch) -> PMEParams:
     p_c = critical_exponents(n_prime).p_c
     if _is_critical(p, p_c, _EXCLUSION_TOL):
         raise CriticalError(f"p = p_c({n_prime}) = {p_c}: critical identification point")
-    m = p - 1.0
-    n, factor = _preimage(m, n_prime, branch)
-    beta = beta_prime * (m + 1.0) / factor
+    n, factor = _preimage(p, n_prime, branch)
+    beta = beta_prime * p / factor
     if n <= 0.0:
         raise UnphysicalDimensionError(
             f"{branch.name} inverse of (p={p}, n'={n_prime}) gives non-positive dimension n={n}",
             n_prime=n,
         )
-    return PMEParams(m, n, beta, params.sim_type)
+    return PMEParams(p - 1.0, n, beta, params.sim_type)
 
 
 def self_map(params, first: Branch, second: Branch):

@@ -66,9 +66,9 @@ class IntegrationSettings:
     stop_events: tuple[StopEvent, ...] = ()
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise DomainError("tolerances must be positive")
-        if self.max_step <= 0.0:
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise DomainError("tolerances must be positive and finite")
+        if not self.max_step > 0.0:  # refuses NaN; the default inf means no cap
             raise DomainError("max_step must be positive")
         if self.max_steps <= 0:
             raise DomainError("max_steps must be positive")
@@ -111,37 +111,41 @@ def _locate_event(ev, h, y0, f0, y1, f1):
     return 0.5 * (lo + hi)
 
 
-def integrate(rhs, y0, span, settings: IntegrationSettings | None = None, meta: dict | None = None) -> Trajectory:
+def integrate(rhs, y0, span, settings: IntegrationSettings | None = None) -> Trajectory:
     """Integrate ``dy/dr = rhs(y)`` over ``span`` with adaptive step control.
 
-    The trajectory records every accepted step together with the right-hand
-    side there.  Termination: the end of the span (status "completed"), a stop
-    event ("event"), the step budget ("truncated"), or the divergence guard
-    ("diverged").  Non-finite values from ``rhs`` that persist as the step
-    shrinks raise IntegrationFailure carrying the partial trajectory.
+    ``rhs`` takes the state as a length-2 array and returns the derivative as
+    any pair (tuple, list or array).  It is called once at the start, six
+    times per attempted step and once at a stop event, so counting its calls
+    counts the attempts.  The trajectory records every accepted step together
+    with the right-hand side there.  Termination: the end of the span (status
+    "completed"), a stop event ("event"), the step budget ("truncated"), or
+    the divergence guard ("diverged").  Non-finite values from ``rhs`` that
+    persist as the step shrinks raise IntegrationFailure carrying the partial
+    trajectory.
     """
     settings = settings or IntegrationSettings()
     r0, r_end = float(span[0]), float(span[1])
+    if not (math.isfinite(r0) and math.isfinite(r_end)):
+        raise DomainError(f"span must be finite, got ({r0}, {r_end})")
     if r0 == r_end:
         raise DomainError("span must be non-degenerate")
     direction = 1.0 if r_end > r0 else -1.0
+    rel_tol, abs_tol, max_step = settings.rel_tol, settings.abs_tol, settings.max_step
 
-    y = np.asarray(y0, dtype=float).reshape(2)
-    f = np.asarray(rhs(y), dtype=float).reshape(2)
-    if not np.all(np.isfinite(f)):
+    y = np.array(y0, dtype=float).reshape(2)
+    f = np.array(rhs(y), dtype=float).reshape(2)
+    if not (math.isfinite(f[0]) and math.isfinite(f[1])):
         raise DomainError(f"rhs is not finite at the initial state {y}")
 
-    rs = [r0]
-    ys = [y.copy()]
-    fs = [f.copy()]
-    meta = dict(meta or {})
+    # Every state and derivative appended below is a fresh array, never a view of k.
+    rs, ys, fs = [r0], [y], [f]
+    meta = {"settings": settings}
 
     def _result(status):
-        meta.setdefault("settings", settings)
         return Trajectory(np.array(rs), np.array(ys), np.array(fs), status=status, meta=meta)
 
-    span_len = abs(r_end - r0)
-    h = direction * min(settings.max_step, span_len / 100.0, 0.1)
+    h = direction * min(max_step, abs(r_end - r0) / 100.0, 0.1)
     r = r0
     accepted = 0
     k = np.empty((7, 2))
@@ -154,43 +158,38 @@ def integrate(rhs, y0, span, settings: IntegrationSettings | None = None, meta: 
             return _result("completed")
         if abs(h) > abs(remaining):
             h = remaining
-        if abs(h) > settings.max_step:
-            h = direction * settings.max_step
+        if abs(h) > max_step:
+            h = direction * max_step
 
         k[0] = f
-        failed = False
-        y_new = y
+        err_norm = math.nan  # stays NaN when a stage or the new state is not finite
         for i in range(1, 7):
-            yi = y + h * (k[:i].T @ _A_NP[i])
-            ki = np.asarray(rhs(yi), dtype=float)
-            if not np.all(np.isfinite(ki)):
-                failed = True
+            y_new = y + h * (k[:i].T @ _A_NP[i])
+            a, b = rhs(y_new)
+            if not (math.isfinite(a) and math.isfinite(b)):
                 break
-            k[i] = ki
-            if i == 6:
-                y_new = yi  # the quadrature row equals the last stage point
-        if failed or not np.all(np.isfinite(y_new)):
-            h *= 0.5
+            k[i] = a, b
+        else:  # the quadrature row equals the last stage point, so y_new is the new state
+            u, v = y_new
+            if math.isfinite(u) and math.isfinite(v):
+                q0, q1 = h * (k.T @ _E_NP) / (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new)))
+                err_norm = math.sqrt((q0 * q0 + q1 * q1) / 2)
+
+        if math.isnan(err_norm):  # something was not finite: halve the step
+            factor = 0.5
+        else:
+            factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+        if not err_norm <= 1.0:
+            h *= factor
             if abs(h) < 1e-14 * max(1.0, abs(r)):
-                raise IntegrationFailure(
-                    f"rhs produced non-finite values near r = {r}", partial=_result("truncated")
-                )
+                cause = "rhs produced non-finite values" if math.isnan(err_norm) else "step size underflow"
+                raise IntegrationFailure(f"{cause} near r = {r}", partial=_result("truncated"))
             continue
 
-        f_new = k[6]  # FSAL: the last stage sits at (r + h, y_new)
-        err = h * (k.T @ _E_NP)
-        scale = settings.abs_tol + settings.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = math.sqrt(float(np.mean((err / scale) ** 2)))
-
-        if err_norm > 1.0:
-            h *= max(0.2, 0.9 * err_norm ** -0.2)
-            if abs(h) < 1e-14 * max(1.0, abs(r)):
-                raise IntegrationFailure(
-                    f"step size underflow near r = {r}", partial=_result("truncated")
-                )
-            continue
-
-        # Accepted.  Events first: an interior crossing replaces the endpoint.
+        # Accepted.  FSAL: the last stage is f at (r + h, y_new); the copy
+        # keeps it, as the next attempt overwrites k.
+        f_new = k[6].copy()
+        # Events first: an interior crossing replaces the endpoint.
         hit = None
         for ev in settings.stop_events:
             theta = _locate_event(ev, h, y, f, y_new, f_new)
@@ -201,22 +200,18 @@ def integrate(rhs, y0, span, settings: IntegrationSettings | None = None, meta: 
             y_ev = _hermite(theta, h, y, f, y_new, f_new)
             rs.append(r + theta * h)
             ys.append(y_ev)
-            fs.append(np.asarray(rhs(y_ev), dtype=float))
+            fs.append(np.array(rhs(y_ev), dtype=float))
             meta["event"] = ev
             return _result("event")
 
         r += h
-        y = y_new
-        f = f_new
+        y, f = y_new, f_new
         rs.append(r)
-        ys.append(y.copy())
-        fs.append(f.copy())
+        ys.append(y)
+        fs.append(f)
         accepted += 1
-
-        if float(np.linalg.norm(y)) > OVERFLOW_GUARD:
+        if math.hypot(u, v) > OVERFLOW_GUARD:
             return _result("diverged")
-
-        factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
         h *= factor
 
 

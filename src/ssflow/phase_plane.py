@@ -234,13 +234,13 @@ def unified_rhs(state, coeffs: UnifiedCoefficients) -> tuple[float, float]:
 
 
 def unified_system(coeffs: UnifiedCoefficients):
-    """Vectorized right-hand side for the integrator."""
+    """Right-hand side for the integrator: a state in, the (dPsi, dPhi) pair out."""
     c1, c2, c3 = coeffs.c1, coeffs.c2, coeffs.c3
     e, k = float(coeffs.psi_coeff), float(coeffs.const_term)
-    kernel, array = _unified_field, np.array  # locals: the integrator calls rhs in its inner loop
+    kernel = _unified_field  # a local: the integrator calls rhs in its inner loop
 
-    def rhs(y: np.ndarray) -> np.ndarray:
-        return array(kernel(y[0], y[1], c1, c2, c3, e, k))
+    def rhs(y: np.ndarray) -> tuple[float, float]:
+        return kernel(y[0], y[1], c1, c2, c3, e, k)
 
     return rhs
 
@@ -249,8 +249,8 @@ def _native_system(native_rhs):
     """Turn a native right-hand side into a params -> integrator-system binder."""
 
     def system(params):
-        def rhs(y: np.ndarray) -> np.ndarray:
-            return np.array(native_rhs((y[0], y[1]), params))
+        def rhs(y: np.ndarray) -> tuple[float, float]:
+            return native_rhs((y[0], y[1]), params)
 
         return rhs
 

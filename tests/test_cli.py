@@ -10,12 +10,12 @@ import pytest
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, timeout=120):
     cmd = [sys.executable, "-m", "ssflow", *args]
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
-    return subprocess.run(cmd, capture_output=True, text=True, env=full_env)
+    return subprocess.run(cmd, capture_output=True, text=True, env=full_env, timeout=timeout)
 
 
 class TestMapCommand:
@@ -376,6 +376,44 @@ class TestRequiredParamFlags:
         flagged = run_cli("profile", "--preset", "yamabe-vertex", "--eq", "ple", "--p", "3", "--beta", "1")
         assert plain.returncode == flagged.returncode == 0
         assert flagged.stdout == plain.stdout
+
+
+class TestRetryAfterRejection:
+    def test_rejected_steps_do_not_fake_an_underflow(self):
+        # a retry once started from the rejected trial's end slope, and the step shrank to underflow
+        res = run_cli(
+            "integrate", "--eq", "pme", "--m", "2", "--n", "0.5796212519887138",
+            "--beta", "0.5321926204839686", "--psi0", "0.3526599811137704",
+            "--phi0", "1.5566109251507614", "--span", "0", "3.246410105056178",
+            "--rel-tol", "3.120788804005148e-07", "--abs-tol", "1e-13",
+        )
+        assert res.returncode == 0, res.stdout + res.stderr
+        last = [float(v) for v in res.stdout.splitlines()[-1].split(",")]
+        assert math.hypot(last[1], last[2]) > 1e12  # stopped by the divergence guard
+
+
+class TestNonFiniteIntegratorFlags:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--preset", "barenblatt-line", "--max-step", "nan"],
+            ["--preset", "barenblatt-line", "--rel-tol", "nan"],
+            ["--preset", "barenblatt-line", "--abs-tol", "nan"],
+            ["--preset", "barenblatt-line", "--rel-tol", "inf"],
+            ["--eq", "pme", "--m", "2", "--n", "1", "--beta", "0.3333333333333333",
+             "--psi0", "0.1", "--phi0", "0.5", "--span", "0", "nan"],
+            ["--eq", "pme", "--m", "2", "--n", "1", "--beta", "0.3333333333333333",
+             "--psi0", "0.1", "--phi0", "0.5", "--span", "0", "inf"],
+        ],
+        ids=["max-step-nan", "rel-tol-nan", "abs-tol-nan", "rel-tol-inf", "span-nan", "span-inf"],
+    )
+    def test_parameter_error(self, flags):
+        res = run_cli("integrate", *flags, timeout=60)
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        data = json.loads(res.stdout)
+        assert data["status"] == "error"
+        assert data["error"]["type"] == "DomainError"
 
 
 class TestGoldenTrajectories:

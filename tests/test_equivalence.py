@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -127,6 +129,32 @@ class TestPleToPme:
         for branch in (B1, B2):
             with pytest.raises(CriticalError):
                 ple_to_pme(PLEParams(p_c, n_prime, 0.1), branch)
+
+
+class TestPreimagePrecision:
+    """The inverse is written in p, so a small p keeps its low bits (m = p - 1 would drop them)."""
+
+    @staticmethod
+    def _exact_inverse(ple, branch):
+        p, n_prime, beta_prime = Fraction(ple.p), Fraction(ple.n), Fraction(ple.beta)
+        if branch is B1:
+            n, factor = 2 + 2 * (p - 1) * n_prime / p, 2 * (p - 1)
+        else:
+            n = 2 * (n_prime - p) / (n_prime * (2 - p) - p)
+            factor = n * (p - 2) + 2
+        return float(n), float(beta_prime * p / factor)
+
+    @pytest.mark.parametrize(
+        "m,n,branch",
+        [(-0.999999, 1e6, B2), (-0.9999, 1e4, B2), (-0.99, 50.0, B2), (0.25, 3.0, B1), (2.0, 1.0, B2)],
+    )
+    def test_inverse_matches_exact_arithmetic(self, m, n, branch):
+        ple = pme_to_ple(PMEParams(m, n, 0.7), branch)
+        back = ple_to_pme(ple, branch)
+        exact_n, exact_beta = self._exact_inverse(ple, branch)
+        assert back.n == pytest.approx(exact_n, rel=1e-9)
+        assert back.beta == pytest.approx(exact_beta, rel=1e-9)
+        assert ple_preimage_dimensions(ple.p, ple.n)[branch.value - 1] == pytest.approx(exact_n, rel=1e-9)
 
 
 class TestRoundTrip:
