@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from . import solutions
@@ -47,8 +48,21 @@ PRESETS = {
 }
 
 
+# A leading "-" and then anything float() reads (1e-3, .5, 1_000, inf, nan):
+# argparse's own pattern knows only -1 and -1.5 and takes the rest for flags.
+_DIGITS = r"\d(?:_?\d)*"
+_NEGATIVE_NUMBER = re.compile(
+    rf"^-(?:(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:e[-+]?{_DIGITS})?|inf(?:inity)?|nan)$",
+    re.IGNORECASE,
+)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as exit code 1 with JSON."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         raise SystemExit(_emit_error("usage", message, stream=sys.stderr))

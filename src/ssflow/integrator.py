@@ -150,69 +150,71 @@ def integrate(rhs, y0, span, settings: IntegrationSettings | None = None) -> Tra
     accepted = 0
     k = np.empty((7, 2))
 
-    while True:
-        if accepted >= settings.max_steps:
-            return _result("truncated")
-        remaining = r_end - r
-        if direction * remaining <= 0.0:
-            return _result("completed")
-        if abs(h) > abs(remaining):
-            h = remaining
-        if abs(h) > max_step:
-            h = direction * max_step
+    # Overflowing stages are rejected below, so numpy need not warn about them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            if accepted >= settings.max_steps:
+                return _result("truncated")
+            remaining = r_end - r
+            if direction * remaining <= 0.0:
+                return _result("completed")
+            if abs(h) > abs(remaining):
+                h = remaining
+            if abs(h) > max_step:
+                h = direction * max_step
 
-        k[0] = f
-        err_norm = math.nan  # stays NaN when a stage or the new state is not finite
-        for i in range(1, 7):
-            y_new = y + h * (k[:i].T @ _A_NP[i])
-            a, b = rhs(y_new)
-            if not (math.isfinite(a) and math.isfinite(b)):
-                break
-            k[i] = a, b
-        else:  # the quadrature row equals the last stage point, so y_new is the new state
-            u, v = y_new
-            if math.isfinite(u) and math.isfinite(v):
-                q0, q1 = h * (k.T @ _E_NP) / (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new)))
-                err_norm = math.sqrt((q0 * q0 + q1 * q1) / 2)
+            k[0] = f
+            err_norm = math.nan  # stays NaN when a stage or the new state is not finite
+            for i in range(1, 7):
+                y_new = y + h * (k[:i].T @ _A_NP[i])
+                a, b = rhs(y_new)
+                if not (math.isfinite(a) and math.isfinite(b)):
+                    break
+                k[i] = a, b
+            else:  # the quadrature row equals the last stage point, so y_new is the new state
+                u, v = y_new
+                if math.isfinite(u) and math.isfinite(v):
+                    q0, q1 = h * (k.T @ _E_NP) / (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new)))
+                    err_norm = math.sqrt((q0 * q0 + q1 * q1) / 2)
 
-        if math.isnan(err_norm):  # something was not finite: halve the step
-            factor = 0.5
-        else:
-            factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
-        if not err_norm <= 1.0:
+            if math.isnan(err_norm):  # something was not finite: halve the step
+                factor = 0.5
+            else:
+                factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+            if not err_norm <= 1.0:
+                h *= factor
+                if abs(h) < 1e-14 * max(1.0, abs(r)):
+                    cause = "rhs produced non-finite values" if math.isnan(err_norm) else "step size underflow"
+                    raise IntegrationFailure(f"{cause} near r = {r}", partial=_result("truncated"))
+                continue
+
+            # Accepted.  FSAL: the last stage is f at (r + h, y_new); the copy
+            # keeps it, as the next attempt overwrites k.
+            f_new = k[6].copy()
+            # Events first: an interior crossing replaces the endpoint.
+            hit = None
+            for ev in settings.stop_events:
+                theta = _locate_event(ev, h, y, f, y_new, f_new)
+                if theta is not None and (hit is None or theta < hit[0]):
+                    hit = (theta, ev)
+            if hit is not None:
+                theta, ev = hit
+                y_ev = _hermite(theta, h, y, f, y_new, f_new)
+                rs.append(r + theta * h)
+                ys.append(y_ev)
+                fs.append(np.array(rhs(y_ev), dtype=float))
+                meta["event"] = ev
+                return _result("event")
+
+            r += h
+            y, f = y_new, f_new
+            rs.append(r)
+            ys.append(y)
+            fs.append(f)
+            accepted += 1
+            if math.hypot(u, v) > OVERFLOW_GUARD:
+                return _result("diverged")
             h *= factor
-            if abs(h) < 1e-14 * max(1.0, abs(r)):
-                cause = "rhs produced non-finite values" if math.isnan(err_norm) else "step size underflow"
-                raise IntegrationFailure(f"{cause} near r = {r}", partial=_result("truncated"))
-            continue
-
-        # Accepted.  FSAL: the last stage is f at (r + h, y_new); the copy
-        # keeps it, as the next attempt overwrites k.
-        f_new = k[6].copy()
-        # Events first: an interior crossing replaces the endpoint.
-        hit = None
-        for ev in settings.stop_events:
-            theta = _locate_event(ev, h, y, f, y_new, f_new)
-            if theta is not None and (hit is None or theta < hit[0]):
-                hit = (theta, ev)
-        if hit is not None:
-            theta, ev = hit
-            y_ev = _hermite(theta, h, y, f, y_new, f_new)
-            rs.append(r + theta * h)
-            ys.append(y_ev)
-            fs.append(np.array(rhs(y_ev), dtype=float))
-            meta["event"] = ev
-            return _result("event")
-
-        r += h
-        y, f = y_new, f_new
-        rs.append(r)
-        ys.append(y)
-        fs.append(f)
-        accepted += 1
-        if math.hypot(u, v) > OVERFLOW_GUARD:
-            return _result("diverged")
-        h *= factor
 
 
 def _interp_states(traj: Trajectory, grid: np.ndarray) -> np.ndarray:

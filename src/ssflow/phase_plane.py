@@ -259,7 +259,6 @@ def _native_system(native_rhs):
 
 pme_native_system = _native_system(pme_native_rhs)
 ple_native_system_xy = _native_system(ple_native_rhs_xy)
-ple_native_system_xz = _native_system(ple_native_rhs_xz)
 
 
 # ----------------------------------------------------------------------

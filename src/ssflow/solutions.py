@@ -1,6 +1,9 @@
 """Closed-form radial profiles, ODE residual evaluators, and u(x,t) values.
 
 Each factory returns an immutable profile object with analytic f, f', f''.
+Every closed form is A eta^q (L - c eta^E)^e (for the derivative-primary
+family this is f'), so one builder, ``_power_law``, gives all of them their
+derivatives and one eta-domain policy.
 The residual evaluators apply the profile ODEs
 
     porous medium:  f^(m-1) f'' + (m-1) f^(m-2) f'^2 + ((n-1)/eta) f^(m-1) f'
@@ -22,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -61,8 +65,10 @@ class ClosedFormProfile:
 
     ``support`` is the open interval of eta where the profile is admissible
     (positive profile, or positive derivative factor for derivative-primary
-    profiles).  Evaluation beyond it raises OutsideSupportError; evaluation at
-    eta = 0 is allowed whenever the formula is regular there.
+    profiles).  Negative eta raises DomainError and eta at or beyond a free
+    boundary OutsideSupportError; eta = 0 gives the value where every power
+    of eta in the formula is non-negative and SingularEvaluationError
+    otherwise.
     """
 
     kind: ProfileKind
@@ -95,28 +101,67 @@ class ClosedFormProfile:
         return [ProfileSample(float(e), self.f(float(e)), self.fprime(float(e))) for e in etas]
 
 
-def _positive_part_support(coef: float, exponent: float, level: float) -> tuple[float, float]:
-    """Open eta-interval where level - coef * eta^exponent stays positive."""
-    if coef <= 0.0:
-        return (0.0, math.inf)
-    edge = (level / coef) ** (1.0 / exponent)
-    if exponent > 0.0:
-        return (0.0, edge)
-    return (edge, math.inf)
+@lru_cache(maxsize=256)
+def _power_law(A: float, q: float, L: float, c: float, E: float, e: float):
+    """g = A eta^q (L - c eta^E)^e, its first two derivatives and its support.
 
-
-def _check_eta(eta: float, support: tuple[float, float], singular_at_zero: bool) -> None:
+    Returns ``(support, (g, g', g''), raw)``.  The derivatives come from the
+    product and chain rules as sums of terms k eta^a w^b with w = L - c eta^E.
+    Each of the three evaluators has one domain policy: eta < 0 raises
+    DomainError; at eta = 0 a negative power of eta raises
+    SingularEvaluationError and any other formula returns its value; eta at or
+    beyond the free boundary (w = 0) raises OutsideSupportError.  ``raw`` is
+    the positive-part formula A eta^q (w)_+^e with no checks, for quadrature.
+    The closures are pure functions of the six numbers, so profiles built
+    again with the same constants (every ``verify`` run) share them.
+    """
+    if c <= 0.0:
+        support = (0.0, math.inf)
+    else:
+        edge = (L / c) ** (1.0 / E)
+        support = (0.0, edge) if E > 0.0 else (edge, math.inf)
     lo, hi = support
-    if eta < 0.0:
-        raise DomainError(f"eta must be non-negative, got {eta}")
-    if eta == 0.0:
-        if singular_at_zero or lo > 0.0:
-            raise OutsideSupportError("the profile is singular at eta = 0")
-        return
-    if not (lo <= eta < hi) and eta != lo:
-        raise OutsideSupportError(f"eta = {eta} lies outside the open support ({lo}, {hi})")
-    if eta == lo and lo > 0.0:
-        raise OutsideSupportError(f"eta = {eta} is the support boundary")
+
+    def refuse(eta, terms):
+        if eta < 0.0:
+            raise DomainError(f"eta must be non-negative, got {eta}")
+        if eta != 0.0 or lo > 0.0:
+            raise OutsideSupportError(f"eta = {eta} lies outside the open support ({lo}, {hi})")
+        if (c != 0.0 and E < 0.0) or any(a < 0.0 for _, a, _ in terms):
+            raise SingularEvaluationError("a negative power of eta is singular at eta = 0")
+        return sum((k * L ** b for k, a, b in terms if a == 0.0), 0.0)
+
+    def evaluator(*terms):
+        terms = [t for t in terms if t[0] != 0.0]
+
+        def h(eta):
+            if not lo < eta < hi:
+                return refuse(eta, terms)
+            w = L - c * eta ** E
+            if not w > 0.0:
+                raise OutsideSupportError(f"eta = {eta} is outside the positivity set")
+            total = 0.0
+            for k, a, b in terms:
+                total += k * eta ** a * w ** b
+            return total
+
+        return h
+
+    def raw(eta):
+        w = L - c * eta ** E
+        return A * eta ** q * w ** e if w > 0.0 else 0.0
+
+    cE = c * E
+    derivs = (
+        evaluator((A, q, e)),
+        evaluator((A * q, q - 1.0, e), (-A * e * cE, q + E - 1.0, e - 1.0)),
+        evaluator(
+            (A * q * (q - 1.0), q - 2.0, e),
+            (-A * e * cE * (2.0 * q + E - 1.0), q + E - 2.0, e - 1.0),
+            (A * e * (e - 1.0) * cE * cE, q + 2.0 * E - 2.0, e - 2.0),
+        ),
+    )
+    return support, derivs, raw
 
 
 def barenblatt_pme(m: float, n: float, C: float = 1.0) -> ClosedFormProfile:
@@ -134,47 +179,18 @@ def barenblatt_pme(m: float, n: float, C: float = 1.0) -> ClosedFormProfile:
     beta1 = 1.0 / denom
     k = (m - 1.0) * beta1 / 2.0
     params = PMEParams(m, n, beta1, SimilarityType.TYPE_I)
-    support = _positive_part_support(k, 2.0, C)
-    e_in = 1.0 / (m - 1.0)
-
-    def w(eta):
-        val = C - k * eta * eta
-        if val <= 0.0:
-            raise OutsideSupportError(f"eta = {eta} is outside the positivity set")
-        return val
-
-    def f(eta):
-        _check_eta(eta, support, singular_at_zero=False)
-        return w(eta) ** e_in
-
-    def fprime(eta):
-        _check_eta(eta, support, singular_at_zero=False)
-        return -2.0 * k * e_in * eta * w(eta) ** (e_in - 1.0)
-
-    def fsecond(eta):
-        _check_eta(eta, support, singular_at_zero=False)
-        ww = w(eta)
-        return (
-            -2.0 * k * e_in * ww ** (e_in - 1.0)
-            + 4.0 * k * k * e_in * (e_in - 1.0) * eta * eta * ww ** (e_in - 2.0)
-        )
-
+    support, derivs, _ = _power_law(1.0, 0.0, C, k, 2.0, 1.0 / (m - 1.0))
     return ClosedFormProfile(
-        ProfileKind.BARENBLATT_PME,
-        {"C": C, "k": k, "beta1": beta1},
-        params,
-        f,
-        fprime,
-        fsecond,
-        support,
+        ProfileKind.BARENBLATT_PME, {"C": C, "k": k, "beta1": beta1}, params, *derivs, support
     )
 
 
 def barenblatt_ple(p: float, n: float, C: float = 1.0) -> ClosedFormProfile:
     """Source-type p-Laplacian profile from the ansatz |f'|^(p-2) f' = -beta eta f.
 
-    f = (C - A eta^(p/(p-1)))_+^((p-1)/(p-2)) with A = ((p-2)/p) beta1'^(1/(p-1)),
-    beta1' = 1/(n(p-2)+p), alpha = n beta1' (Type I).
+    f = (C - A eta^(p/(p-1)))_+^((p-1)/(p-2)) with
+    A = ((p-2)/p) sign(beta1') |beta1'|^(1/(p-1)), beta1' = 1/(n(p-2)+p),
+    alpha = n beta1' (Type I).
     """
     if C <= 0.0:
         raise DomainError("C must be positive")
@@ -182,51 +198,11 @@ def barenblatt_ple(p: float, n: float, C: float = 1.0) -> ClosedFormProfile:
     if abs(denom) < 1e-12:
         raise DegenerateError("n(p-2) + p = 0: the source-type exponent degenerates")
     beta1 = 1.0 / denom
-    if beta1 < 0.0 and not float(1.0 / (p - 1.0)).is_integer():
-        raise DomainError("negative beta1' with a fractional power has no real profile")
-    A = (p - 2.0) / p * beta1 ** (1.0 / (p - 1.0))
-    e_eta = p / (p - 1.0)
-    e_out = (p - 1.0) / (p - 2.0)
+    A = (p - 2.0) / p * math.copysign(abs(beta1) ** (1.0 / (p - 1.0)), beta1)
     params = PLEParams(p, n, beta1, SimilarityType.TYPE_I)
-    support = _positive_part_support(A, e_eta, C)
-
-    def w(eta):
-        val = C - A * eta ** e_eta
-        if val <= 0.0:
-            raise OutsideSupportError(f"eta = {eta} is outside the positivity set")
-        return val
-
-    def f(eta):
-        _check_eta(eta, support, singular_at_zero=False)
-        return w(eta) ** e_out
-
-    def fprime(eta):
-        _check_eta(eta, support, singular_at_zero=False)
-        if eta == 0.0:
-            return 0.0
-        return -A * p / (p - 2.0) * eta ** (1.0 / (p - 1.0)) * w(eta) ** (1.0 / (p - 2.0))
-
-    def fsecond(eta):
-        _check_eta(eta, support, singular_at_zero=False)
-        if eta == 0.0:
-            raise SingularEvaluationError("f'' of the source profile is singular at eta = 0")
-        ww = w(eta)
-        lead = -A * p / (p - 2.0)
-        return lead * (
-            (1.0 / (p - 1.0)) * eta ** (1.0 / (p - 1.0) - 1.0) * ww ** (1.0 / (p - 2.0))
-            - (A * p / ((p - 1.0) * (p - 2.0)))
-            * eta ** (2.0 / (p - 1.0))
-            * ww ** (1.0 / (p - 2.0) - 1.0)
-        )
-
+    support, derivs, _ = _power_law(1.0, 0.0, C, A, p / (p - 1.0), (p - 1.0) / (p - 2.0))
     return ClosedFormProfile(
-        ProfileKind.BARENBLATT_PLE,
-        {"C": C, "A": A, "beta1": beta1},
-        params,
-        f,
-        fprime,
-        fsecond,
-        support,
+        ProfileKind.BARENBLATT_PLE, {"C": C, "A": A, "beta1": beta1}, params, *derivs, support
     )
 
 
@@ -247,48 +223,9 @@ def dipole_pme(m: float, n: float, K: float = 1.0) -> ClosedFormProfile:
     q = -(n - 2.0) / m
     e = (m * n - n + 2.0) / m
     params = PMEParams(m, n, 1.0 / (2.0 * m), SimilarityType.TYPE_I)
-    support = _positive_part_support(1.0 / b, e, K)
-    e_in = 1.0 / (m - 1.0)
-
-    def w(eta):
-        val = K - eta ** e / b
-        if val <= 0.0:
-            raise OutsideSupportError(f"eta = {eta} is outside the positivity set")
-        return val
-
-    def parts(eta):
-        ww = w(eta)
-        wp = -(e / b) * eta ** (e - 1.0)
-        wpp = -(e * (e - 1.0) / b) * eta ** (e - 2.0)
-        g = ww ** e_in
-        gp = e_in * ww ** (e_in - 1.0) * wp
-        gpp = e_in * (e_in - 1.0) * ww ** (e_in - 2.0) * wp * wp + e_in * ww ** (e_in - 1.0) * wpp
-        return g, gp, gpp
-
-    def f(eta):
-        _check_eta(eta, support, singular_at_zero=q < 0.0)
-        if eta == 0.0:
-            return 0.0 if q > 0.0 else w(0.0) ** e_in
-        return eta ** q * parts(eta)[0]
-
-    def fprime(eta):
-        _check_eta(eta, support, singular_at_zero=True)
-        g, gp, _ = parts(eta)
-        return q * eta ** (q - 1.0) * g + eta ** q * gp
-
-    def fsecond(eta):
-        _check_eta(eta, support, singular_at_zero=True)
-        g, gp, gpp = parts(eta)
-        return q * (q - 1.0) * eta ** (q - 2.0) * g + 2.0 * q * eta ** (q - 1.0) * gp + eta ** q * gpp
-
+    support, derivs, _ = _power_law(1.0, q, K, 1.0 / b, e, 1.0 / (m - 1.0))
     return ClosedFormProfile(
-        ProfileKind.DIPOLE_PME,
-        {"K": K, "b": b, "q": q, "e": e},
-        params,
-        f,
-        fprime,
-        fsecond,
-        support,
+        ProfileKind.DIPOLE_PME, {"K": K, "b": b, "q": q, "e": e}, params, *derivs, support
     )
 
 
@@ -298,7 +235,7 @@ def dipole_derivative_ple(p: float, n: float, c: float = 1.0) -> ClosedFormProfi
     f'(eta) = eta^(-(n-1)/(p-1)) (c - eta^E/((p-1)b))_+^(1/(p-2)) with
     E = (p-2)b/p; beta = 1/p forces alpha = 0 (Type I), so f never enters the
     profile ODE and is recovered by quadrature with f = 0 at the right
-    support endpoint.
+    support endpoint.  f is defined wherever f' is.
     """
     if c <= 0.0:
         raise DomainError("c must be positive")
@@ -308,54 +245,21 @@ def dipole_derivative_ple(p: float, n: float, c: float = 1.0) -> ClosedFormProfi
     b = p * (n + 1.0) * (p - crit.p_c) / ((p - 2.0) * (p - 1.0))
     E = (p - 2.0) * b / p
     q = -(n - 1.0) / (p - 1.0)
-    coef = 1.0 / ((p - 1.0) * b)
     params = PLEParams(p, n, 1.0 / p, SimilarityType.TYPE_I)
-    support = _positive_part_support(coef, E, c)
-    if math.isinf(support[1]):
-        raise DomainError("unbounded derivative support: no right endpoint to anchor f")
+    support, derivs, raw = _power_law(1.0, q, c, 1.0 / ((p - 1.0) * b), E, 1.0 / (p - 2.0))
+    fprime, fsecond, _ = derivs
     edge = support[1]
-    e_in = 1.0 / (p - 2.0)
+    if math.isinf(edge):
+        raise DomainError("unbounded derivative support: no right endpoint to anchor f")
     from scipy.integrate import quad
 
-    def w(eta):
-        val = c - coef * eta ** E
-        if val <= 0.0:
-            raise OutsideSupportError(f"eta = {eta} is outside the positivity set of f'")
-        return val
-
-    def fprime(eta):
-        _check_eta(eta, support, singular_at_zero=q < 0.0)
-        if eta == 0.0:
-            return 0.0 if q > 0.0 else w(0.0) ** e_in
-        return eta ** q * w(eta) ** e_in
-
-    def fsecond(eta):
-        _check_eta(eta, support, singular_at_zero=True)
-        ww = w(eta)
-        wp = -coef * E * eta ** (E - 1.0)
-        return q * eta ** (q - 1.0) * ww ** e_in + eta ** q * e_in * ww ** (e_in - 1.0) * wp
-
-    def _fprime_clipped(eta):
-        # Quadrature-only variant: 0 outside the positivity set instead of raising.
-        val = c - coef * eta ** E
-        if val <= 0.0 or eta <= 0.0:
-            return 0.0
-        return eta ** q * val ** e_in
-
     def f(eta):
-        _check_eta(eta, support, singular_at_zero=q < 0.0)
-        val, _ = quad(_fprime_clipped, eta, edge, epsabs=1e-12, epsrel=1e-12, limit=200)
+        fprime(eta)  # the same domain policy as f'
+        val, _ = quad(raw, eta, edge, epsabs=1e-12, epsrel=1e-12, limit=200)
         return -val
 
-    return ClosedFormProfile(
-        ProfileKind.DIPOLE_DERIVATIVE_PLE,
-        {"c": c, "b": b, "E": E, "edge": edge},
-        params,
-        f,
-        fprime,
-        fsecond,
-        support,
-    )
+    constants = {"c": c, "b": b, "E": E, "edge": edge}
+    return ClosedFormProfile(ProfileKind.DIPOLE_DERIVATIVE_PLE, constants, params, f, fprime, fsecond, support)
 
 
 def loewner_nirenberg_pme(n: float, k1: float = 1.0) -> ClosedFormProfile:
@@ -370,32 +274,8 @@ def loewner_nirenberg_pme(n: float, k1: float = 1.0) -> ClosedFormProfile:
         raise DomainError("k1 must be positive")
     m = critical_exponents(n).m_s
     params = PMEParams(m, n, 0.0, SimilarityType.TYPE_II)
-    e_out = -(n + 2.0) / 2.0
-    den = 4.0 * n * k1
-
-    def f(eta):
-        return (k1 + eta * eta / den) ** e_out
-
-    def fprime(eta):
-        Q = k1 + eta * eta / den
-        return e_out * Q ** (e_out - 1.0) * (2.0 * eta / den)
-
-    def fsecond(eta):
-        Q = k1 + eta * eta / den
-        return e_out * (
-            (e_out - 1.0) * Q ** (e_out - 2.0) * (2.0 * eta / den) ** 2
-            + Q ** (e_out - 1.0) * (2.0 / den)
-        )
-
-    return ClosedFormProfile(
-        ProfileKind.LOEWNER_NIRENBERG_PME,
-        {"k1": k1},
-        params,
-        f,
-        fprime,
-        fsecond,
-        (0.0, math.inf),
-    )
+    support, derivs, _ = _power_law(1.0, 0.0, k1, -1.0 / (4.0 * n * k1), 2.0, -(n + 2.0) / 2.0)
+    return ClosedFormProfile(ProfileKind.LOEWNER_NIRENBERG_PME, {"k1": k1}, params, *derivs, support)
 
 
 def yamabe_ple(n: float, k2: float = 1.0) -> ClosedFormProfile:
@@ -410,33 +290,9 @@ def yamabe_ple(n: float, k2: float = 1.0) -> ClosedFormProfile:
         raise DomainError("k2 must be positive")
     p = critical_exponents(n).p_s
     params = PLEParams(p, n, 0.0, SimilarityType.TYPE_II)
-    g = 2.0 * n / (n - 2.0)
     C = 4.0 * n / (n + 2.0) * (4.0 * n ** 3 * k2 / (n * n - 4.0)) ** ((n - 2.0) / 4.0)
-
-    def f(eta):
-        return C * (1.0 + k2 * eta ** g) ** (-n / 2.0)
-
-    def fprime(eta):
-        V = 1.0 + k2 * eta ** g
-        return C * (-n / 2.0) * V ** (-n / 2.0 - 1.0) * k2 * g * eta ** (g - 1.0)
-
-    def fsecond(eta):
-        V = 1.0 + k2 * eta ** g
-        Vp = k2 * g * eta ** (g - 1.0)
-        Vpp = k2 * g * (g - 1.0) * eta ** (g - 2.0)
-        return C * (-n / 2.0) * (
-            (-n / 2.0 - 1.0) * V ** (-n / 2.0 - 2.0) * Vp * Vp + V ** (-n / 2.0 - 1.0) * Vpp
-        )
-
-    return ClosedFormProfile(
-        ProfileKind.YAMABE_PLE,
-        {"k2": k2, "C": C},
-        params,
-        f,
-        fprime,
-        fsecond,
-        (0.0, math.inf),
-    )
+    support, derivs, _ = _power_law(C, 0.0, 1.0, -k2, 2.0 * n / (n - 2.0), -n / 2.0)
+    return ClosedFormProfile(ProfileKind.YAMABE_PLE, {"k2": k2, "C": C}, params, *derivs, support)
 
 
 def pme_residual(profile, params: PMEParams, eta: float) -> float:

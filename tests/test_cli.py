@@ -441,3 +441,54 @@ class TestGoldenTrajectories:
         assert len(rows) == len(traj)
         for (r1, psi, phi), tr, ts in zip(rows, traj.r1, traj.states):
             assert r1 == tr and psi == ts[0] and phi == ts[1]
+
+
+class TestNegativeNumberTokens:
+    # every token float() accepts is a value, not an option flag
+    @pytest.mark.parametrize(
+        "argv,dest,expected",
+        [
+            (["--psi0", "-1e-3"], "psi0", -1e-3),
+            (["--m", "-1e-1"], "m", -0.1),
+            (["--phi0", "-.5"], "phi0", -0.5),
+            (["--phi0", "-5."], "phi0", -5.0),
+            (["--phi0", "-1_000E+0_1"], "phi0", -1e4),
+            (["--span", "-1e-1", "0"], "span", [-0.1, 0.0]),
+            (["--span", "-inf", "0"], "span", [-math.inf, 0.0]),
+            (["--span", "-Infinity", "0"], "span", [-math.inf, 0.0]),
+        ],
+    )
+    def test_read_as_value(self, argv, dest, expected):
+        from ssflow.cli import build_parser
+
+        args = build_parser().parse_args(["integrate", *argv])
+        assert getattr(args, dest) == expected
+
+    def test_negative_nan_is_a_value(self):
+        from ssflow.cli import build_parser
+
+        args = build_parser().parse_args(["integrate", "--span", "-nan", "0"])
+        assert math.isnan(args.span[0])
+
+    def test_negative_infinite_span_is_a_domain_error(self):
+        res = run_cli("integrate", "--eq", "pme", "--m", "2", "--n", "1", "--beta", "0.3333333333333333",
+                      "--psi0", "0.1", "--phi0", "0.5", "--span", "-inf", "0")
+        assert res.returncode == 1
+        data = json.loads(res.stdout)
+        assert data["error"]["type"] == "DomainError"
+
+    def test_non_number_is_still_a_usage_error(self):
+        res = run_cli("integrate", "--psi0", "-x")
+        assert res.returncode == 1
+        assert json.loads(res.stderr)["error"]["type"] == "usage"
+
+
+class TestOverflowLeavesStderrClean:
+    def test_no_runtime_warning(self):
+        res = run_cli("integrate", "--eq", "pme", "--m", "2", "--n", "1", "--beta", "0.3333333333333333",
+                      "--psi0", "1e150", "--phi0", "1e150", "--span", "0", "1")
+        assert res.returncode == 1
+        assert res.stderr == ""
+        data = json.loads(res.stdout)
+        assert data["error"]["type"] == "IntegrationFailure"
+

@@ -367,3 +367,97 @@ class TestCrossEquationPairings:
                 smp = prof.sample([float(eta)])[0]
                 st = profile_to_state(smp, prof.params)
                 assert abs(st.psi - yamabe_curve(n, st.phi)) < 1e-6
+
+
+# One parameter set per closed form, plus the fast-diffusion Barenblatt, the
+# negative-beta1' p-Laplacian Barenblatt and a singular-at-origin dipole.
+FAMILIES = [
+    (barenblatt_pme, (3.0, 1.0, 1.0)),
+    (barenblatt_pme, (0.5, 3.0, 2.0)),
+    (barenblatt_ple, (3.0, 1.0, 1.0)),
+    (barenblatt_ple, (1.5, 4.0, 1.0)),
+    (dipole_pme, (2.0, 1.0, 1.0)),
+    (dipole_pme, (2.5, 4.0, 0.5)),
+    (dipole_derivative_ple, (3.0, 1.0, 1.0)),
+    (dipole_derivative_ple, (4.0, 3.0, 2.0)),
+    (loewner_nirenberg_pme, (3.0, 1.3)),
+    (yamabe_ple, (4.0, 0.8)),
+]
+BOUNDED = [(fn, args) for fn, args in FAMILIES if math.isfinite(fn(*args).support[1])]
+
+
+def _family_id(value):
+    return getattr(value, "__name__", repr(value))
+
+
+class TestDerivativesByFiniteDifferences:
+    @pytest.mark.parametrize("factory,args", FAMILIES, ids=_family_id)
+    def test_centred_differences(self, factory, args):
+        # f' against D f and f'' against D f' with h = 1e-4 eta: truncation is
+        # O(1e-8) relative, rounding (1e-12 for the quadrature f) stays below it.
+        prof = factory(*args)
+        for eta in prof.interior_points(9)[1:-1]:
+            eta = float(eta)
+            h = 1e-4 * eta
+            d1 = (prof.f(eta + h) - prof.f(eta - h)) / (2.0 * h)
+            d2 = (prof.fprime(eta + h) - prof.fprime(eta - h)) / (2.0 * h)
+            fp, fpp = prof.fprime(eta), prof.fsecond(eta)
+            assert abs(d1 - fp) <= 1e-6 * (abs(fp) + abs(prof.f(eta)) / eta)
+            assert abs(d2 - fpp) <= 1e-6 * (abs(fpp) + abs(fp) / eta)
+
+
+class TestEtaDomainPolicy:
+    @pytest.mark.parametrize("factory,args", FAMILIES, ids=_family_id)
+    def test_negative_eta_is_a_domain_error(self, factory, args):
+        prof = factory(*args)
+        for fn in (prof.f, prof.fprime, prof.fsecond):
+            with pytest.raises(DomainError):
+                fn(-1.0)
+
+    @pytest.mark.parametrize(
+        "prof,name",
+        [
+            (barenblatt_ple(3.0, 1.0, 1.0), "fsecond"),  # eta^(-1/2)
+            (dipole_pme(2.0, 1.0, 1.0), "fprime"),  # eta^(q-1), q = 1/2
+            (dipole_pme(2.0, 3.0, 1.0), "f"),  # eta^q, q = -1/2
+            (dipole_derivative_ple(4.0, 3.0, 1.0), "f"),  # f' ~ eta^(-2/3)
+            (dipole_derivative_ple(4.0, 3.0, 1.0), "fprime"),
+        ],
+    )
+    def test_negative_power_at_origin_is_singular(self, prof, name):
+        with pytest.raises(SingularEvaluationError):
+            getattr(prof, name)(0.0)
+
+    def test_regular_origin_returns_the_value(self):
+        bar = barenblatt_pme(2.0, 1.0, 1.0)
+        assert bar.fprime(0.0) == 0.0
+        assert bar.fsecond(0.0) == pytest.approx(-1.0 / 3.0, rel=1e-15)
+        dd = dipole_derivative_ple(3.0, 1.0, 1.0)  # f' = 1 - eta^2/12
+        assert dd.fprime(0.0) == 1.0
+        assert dd.fsecond(0.0) == 0.0
+        assert dd.f(0.0) == pytest.approx(-(math.sqrt(12.0) - 12.0 ** 1.5 / 36.0), rel=1e-12)
+        assert loewner_nirenberg_pme(3.0, 1.0).fprime(0.0) == 0.0
+        yam = yamabe_ple(3.0, 1.0)
+        assert yam.fsecond(0.0) == 0.0  # eta^(g-2), g = 6
+
+    @pytest.mark.parametrize("factory,args", BOUNDED, ids=_family_id)
+    def test_free_boundary_and_beyond_are_outside(self, factory, args):
+        prof = factory(*args)
+        edge = prof.support[1]
+        for eta in (edge, 2.0 * edge):
+            for fn in (prof.f, prof.fprime, prof.fsecond):
+                with pytest.raises(OutsideSupportError):
+                    fn(eta)
+
+
+class TestBarenblattPLENegativeBeta1:
+    # beta1' = 1/(n(p-2)+p) < 0: the power 1/(p-1) of beta1' keeps its sign
+    @pytest.mark.parametrize("p,n", [(1.5, 4.0), (1.25, 6.0), (1.7, 8.0)])
+    def test_residual_vanishes(self, p, n):
+        prof = barenblatt_ple(p, n, 1.0)
+        assert prof.constants["beta1"] < 0.0
+        assert prof.constants["A"] > 0.0  # f blows up at the edge of a bounded support
+        # the last interior point sits 1e-6 inside the blow-up, where the
+        # residual's terms exceed 1e11; everywhere before it they are O(1)
+        for eta in prof.interior_points(50)[:-1]:
+            assert abs(ple_residual(prof, prof.params, float(eta))) < 1e-12
