@@ -75,7 +75,7 @@ class IntegrationSettings:
 
 
 def _hermite(theta, h, y0, f0, y1, f1):
-    """Cubic Hermite value on one step, theta in [0, 1]."""
+    """Cubic Hermite value on one step, theta in [0, 1]; scalars or arrays alike."""
     t2 = theta * theta
     t3 = t2 * theta
     h00 = 2 * t3 - 3 * t2 + 1
@@ -86,9 +86,9 @@ def _hermite(theta, h, y0, f0, y1, f1):
 
 
 def _locate_event(ev, h, y0, f0, y1, f1):
-    """Bisect the Hermite interpolant; returns theta of the crossing or None."""
-    g0 = y0[ev.component] - ev.bound
-    g1 = y1[ev.component] - ev.bound
+    """Bisect the Hermite interpolant of the event component; returns theta of the crossing or None."""
+    g0 = y0 - ev.bound
+    g1 = y1 - ev.bound
     if g0 == 0.0 or g0 * g1 > 0.0:
         return None
     rising = g1 > g0
@@ -101,7 +101,7 @@ def _locate_event(ev, h, y0, f0, y1, f1):
     # Bisection to 1e-12 in the independent variable.
     while (hi - lo) * abs(h) > 1e-12:
         mid = 0.5 * (lo + hi)
-        gm = _hermite(mid, h, y0, f0, y1, f1)[ev.component] - ev.bound
+        gm = _hermite(mid, h, y0, f0, y1, f1) - ev.bound
         if gm == 0.0:
             return mid
         if (gm > 0.0) == (glo > 0.0):
@@ -114,15 +114,16 @@ def _locate_event(ev, h, y0, f0, y1, f1):
 def integrate(rhs, y0, span, settings: IntegrationSettings | None = None) -> Trajectory:
     """Integrate ``dy/dr = rhs(y)`` over ``span`` with adaptive step control.
 
-    ``rhs`` takes the state as a length-2 array and returns the derivative as
-    any pair (tuple, list or array).  It is called once at the start, six
-    times per attempted step and once at a stop event, so counting its calls
-    counts the attempts.  The trajectory records every accepted step together
-    with the right-hand side there.  Termination: the end of the span (status
-    "completed"), a stop event ("event"), the step budget ("truncated"), or
-    the divergence guard ("diverged").  Non-finite values from ``rhs`` that
-    persist as the step shrinks raise IntegrationFailure carrying the partial
-    trajectory.
+    ``rhs`` takes the state as a ``(float, float)`` tuple and returns the
+    derivative as any pair (tuple, list or array).  It is called once at the
+    start, six times per attempted step (fewer when a stage is not finite)
+    and once at a stop event, so counting its calls counts the attempts.  The
+    trajectory records every accepted step together with the right-hand side
+    there; ``meta`` counts the ``accepted`` and ``rejected`` steps and the
+    ``rhs_evals``.  Termination: the end of the span (status "completed"), a
+    stop event ("event"), the step budget ("truncated"), or the divergence
+    guard ("diverged").  Non-finite values from ``rhs`` that persist as the
+    step shrinks raise IntegrationFailure carrying the partial trajectory.
     """
     settings = settings or IntegrationSettings()
     r0, r_end = float(span[0]), float(span[1])
@@ -132,49 +133,60 @@ def integrate(rhs, y0, span, settings: IntegrationSettings | None = None) -> Tra
         raise DomainError("span must be non-degenerate")
     direction = 1.0 if r_end > r0 else -1.0
     rel_tol, abs_tol, max_step = settings.rel_tol, settings.abs_tol, settings.max_step
+    max_steps, stop_events = settings.max_steps, settings.stop_events
 
     y = np.array(y0, dtype=float).reshape(2)
-    f = np.array(rhs(y), dtype=float).reshape(2)
-    if not (math.isfinite(f[0]) and math.isfinite(f[1])):
+    y0, y1 = y.tolist()
+    f0, f1 = np.array(rhs((y0, y1)), dtype=float).reshape(2).tolist()
+    if not (math.isfinite(f0) and math.isfinite(f1)):
         raise DomainError(f"rhs is not finite at the initial state {y}")
 
-    # Every state and derivative appended below is a fresh array, never a view of k.
-    rs, ys, fs = [r0], [y], [f]
+    rs, ys, fs = [r0], [(y0, y1)], [(f0, f1)]
     meta = {"settings": settings}
-
-    def _result(status):
-        return Trajectory(np.array(rs), np.array(ys), np.array(fs), status=status, meta=meta)
-
     h = direction * min(max_step, abs(r_end - r0) / 100.0, 0.1)
     r = r0
-    accepted = 0
+    accepted = rejected = 0
+    evals = 1  # rhs calls so far
+    # The stage sums stay numpy products on the C-ordered buffer k: their BLAS
+    # kernel fixes the summation order, and so the bits of every trajectory.
     k = np.empty((7, 2))
+    k[0, 0], k[0, 1] = f0, f1
+    stages = [(i, k[:i].T, _A_NP[i]) for i in range(1, 7)]
+    kT = k.T
 
-    # Overflowing stages are rejected below, so numpy need not warn about them.
+    def result(status):
+        meta.update(accepted=accepted, rejected=rejected, rhs_evals=evals)
+        return Trajectory(np.array(rs), np.array(ys), np.array(fs), status=status, meta=meta)
+
+    # Overflowing stage sums are rejected below, so numpy need not warn about them.
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            if accepted >= settings.max_steps:
-                return _result("truncated")
+            if accepted >= max_steps:
+                return result("truncated")
             remaining = r_end - r
             if direction * remaining <= 0.0:
-                return _result("completed")
+                return result("completed")
             if abs(h) > abs(remaining):
                 h = remaining
             if abs(h) > max_step:
                 h = direction * max_step
 
-            k[0] = f
             err_norm = math.nan  # stays NaN when a stage or the new state is not finite
-            for i in range(1, 7):
-                y_new = y + h * (k[:i].T @ _A_NP[i])
-                a, b = rhs(y_new)
+            for i, kv, a_row in stages:
+                s0, s1 = (kv @ a_row).tolist()
+                u = y0 + h * s0
+                v = y1 + h * s1
+                a, b = rhs((u, v))
+                evals += 1
                 if not (math.isfinite(a) and math.isfinite(b)):
                     break
-                k[i] = a, b
-            else:  # the quadrature row equals the last stage point, so y_new is the new state
-                u, v = y_new
+                k[i, 0] = a  # two scalar stores cost half of one row store
+                k[i, 1] = b
+            else:  # the quadrature row equals the last stage point, so (u, v) is the new state
                 if math.isfinite(u) and math.isfinite(v):
-                    q0, q1 = h * (k.T @ _E_NP) / (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new)))
+                    e0, e1 = (kT @ _E_NP).tolist()
+                    q0 = h * e0 / (abs_tol + rel_tol * max(abs(y0), abs(u)))
+                    q1 = h * e1 / (abs_tol + rel_tol * max(abs(y1), abs(v)))
                     err_norm = math.sqrt((q0 * q0 + q1 * q1) / 2)
 
             if math.isnan(err_norm):  # something was not finite: halve the step
@@ -182,38 +194,42 @@ def integrate(rhs, y0, span, settings: IntegrationSettings | None = None) -> Tra
             else:
                 factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
             if not err_norm <= 1.0:
+                rejected += 1
                 h *= factor
                 if abs(h) < 1e-14 * max(1.0, abs(r)):
                     cause = "rhs produced non-finite values" if math.isnan(err_norm) else "step size underflow"
-                    raise IntegrationFailure(f"{cause} near r = {r}", partial=_result("truncated"))
+                    raise IntegrationFailure(f"{cause} near r = {r}", partial=result("truncated"))
                 continue
 
-            # Accepted.  FSAL: the last stage is f at (r + h, y_new); the copy
-            # keeps it, as the next attempt overwrites k.
-            f_new = k[6].copy()
+            # Accepted.  FSAL: the last stage (a, b) is f at (r + h, (u, v)); as
+            # floats, it steps like the stored k[6] whatever pair rhs returns.
+            accepted += 1
+            a, b = float(a), float(b)
             # Events first: an interior crossing replaces the endpoint.
             hit = None
-            for ev in settings.stop_events:
-                theta = _locate_event(ev, h, y, f, y_new, f_new)
+            for ev in stop_events:
+                c = ev.component
+                theta = _locate_event(ev, h, (y0, y1)[c], (f0, f1)[c], (u, v)[c], (a, b)[c])
                 if theta is not None and (hit is None or theta < hit[0]):
                     hit = (theta, ev)
             if hit is not None:
                 theta, ev = hit
-                y_ev = _hermite(theta, h, y, f, y_new, f_new)
+                y_ev = (_hermite(theta, h, y0, f0, u, a), _hermite(theta, h, y1, f1, v, b))
                 rs.append(r + theta * h)
                 ys.append(y_ev)
                 fs.append(np.array(rhs(y_ev), dtype=float))
+                evals += 1
                 meta["event"] = ev
-                return _result("event")
+                return result("event")
 
             r += h
-            y, f = y_new, f_new
+            y0, y1, f0, f1 = u, v, a, b
+            k[0, 0], k[0, 1] = a, b
             rs.append(r)
-            ys.append(y)
-            fs.append(f)
-            accepted += 1
+            ys.append((u, v))
+            fs.append((a, b))
             if math.hypot(u, v) > OVERFLOW_GUARD:
-                return _result("diverged")
+                return result("diverged")
             h *= factor
 
 

@@ -170,14 +170,21 @@ def _signed_pow(x: float, e: float) -> float:
 # ----------------------------------------------------------------------
 
 
+def pme_native_system(params: PMEParams):
+    """Right-hand side for the integrator on native (X, Y); the constants are bound once."""
+    two_minus_n, m, one_minus_m, beta = 2.0 - params.n, params.m, 1.0 - params.m, params.beta
+    alpha = alpha_from(params)
+
+    def rhs(state) -> tuple[float, float]:
+        x, y = state
+        return two_minus_n * x - m * x * x - (alpha + beta * x) * y, (2.0 + one_minus_m * x) * y
+
+    return rhs
+
+
 def pme_native_rhs(state, params: PMEParams) -> tuple[float, float]:
     """dX = (2-n)X - mX^2 - (alpha + beta X)Y,  dY = (2 + (1-m)X)Y."""
-    x, y = _pair(state)
-    m, n, beta = params.m, params.n, params.beta
-    alpha = alpha_from(params)
-    dx = (2.0 - n) * x - m * x * x - (alpha + beta * x) * y
-    dy = (2.0 + (1.0 - m) * x) * y
-    return dx, dy
+    return pme_native_system(params)(_pair(state))
 
 
 def ple_native_rhs_xz(state, params: PLEParams) -> tuple[float, float]:
@@ -207,19 +214,26 @@ def ple_native_rhs_xz(state, params: PLEParams) -> tuple[float, float]:
     return dx, dz
 
 
+def ple_native_system_xy(params: PLEParams):
+    """Right-hand side for the integrator on native p-Laplacian (X, Y); the constants are bound once."""
+    p, n, beta = params.p, params.n, params.beta
+    k, gamma_minus_n, alpha = (2.0 - p) / (p - 1.0), params.gamma - n, alpha_from(params)
+
+    def rhs(state) -> tuple[float, float]:
+        x, y = state
+        ax = abs(x)
+        return k * x * (gamma_minus_n + alpha * y - beta * ax), -alpha * y * y + n * y + beta * y * ax - ax
+
+    return rhs
+
+
 def ple_native_rhs_xy(state, params: PLEParams) -> tuple[float, float]:
     """Quadratic native flow (X has a sign through |X|).
 
     dX = ((2-p)/(p-1)) X (gamma - n + alpha Y - beta|X|)
     dY = -alpha Y^2 + n Y + beta Y |X| - |X|
     """
-    x, y = _pair(state)
-    p, n, beta = params.p, params.n, params.beta
-    alpha = alpha_from(params)
-    gamma = params.gamma
-    dx = ((2.0 - p) / (p - 1.0)) * x * (gamma - n + alpha * y - beta * abs(x))
-    dy = -alpha * y * y + n * y + beta * y * abs(x) - abs(x)
-    return dx, dy
+    return ple_native_system_xy(params)(_pair(state))
 
 
 def _unified_field(psi, phi, c1, c2, c3, e, k):
@@ -234,31 +248,16 @@ def unified_rhs(state, coeffs: UnifiedCoefficients) -> tuple[float, float]:
 
 
 def unified_system(coeffs: UnifiedCoefficients):
-    """Right-hand side for the integrator: a state in, the (dPsi, dPhi) pair out."""
+    """Right-hand side for the integrator: a (Psi, Phi) pair in, the (dPsi, dPhi) pair out."""
     c1, c2, c3 = coeffs.c1, coeffs.c2, coeffs.c3
     e, k = float(coeffs.psi_coeff), float(coeffs.const_term)
     kernel = _unified_field  # a local: the integrator calls rhs in its inner loop
 
-    def rhs(y: np.ndarray) -> tuple[float, float]:
-        return kernel(y[0], y[1], c1, c2, c3, e, k)
+    def rhs(y) -> tuple[float, float]:
+        psi, phi = y
+        return kernel(psi, phi, c1, c2, c3, e, k)
 
     return rhs
-
-
-def _native_system(native_rhs):
-    """Turn a native right-hand side into a params -> integrator-system binder."""
-
-    def system(params):
-        def rhs(y: np.ndarray) -> tuple[float, float]:
-            return native_rhs((y[0], y[1]), params)
-
-        return rhs
-
-    return system
-
-
-pme_native_system = _native_system(pme_native_rhs)
-ple_native_system_xy = _native_system(ple_native_rhs_xy)
 
 
 # ----------------------------------------------------------------------

@@ -219,10 +219,10 @@ def dipole_pme(m: float, n: float, K: float = 1.0) -> ClosedFormProfile:
     crit = critical_exponents(n)
     if _is_critical(m, crit.m_c, 1e-12):
         raise CriticalError("the dipole formula divides by b = 0 at m = m_c")
+    params = PMEParams(m, n, 1.0 / (2.0 * m), SimilarityType.TYPE_I)  # refuses m = 1 before b divides by it
     b = 2.0 * n * (m - crit.m_c) / (m - 1.0)
     q = -(n - 2.0) / m
     e = (m * n - n + 2.0) / m
-    params = PMEParams(m, n, 1.0 / (2.0 * m), SimilarityType.TYPE_I)
     support, derivs, _ = _power_law(1.0, q, K, 1.0 / b, e, 1.0 / (m - 1.0))
     return ClosedFormProfile(
         ProfileKind.DIPOLE_PME, {"K": K, "b": b, "q": q, "e": e}, params, *derivs, support
@@ -239,13 +239,15 @@ def dipole_derivative_ple(p: float, n: float, c: float = 1.0) -> ClosedFormProfi
     """
     if c <= 0.0:
         raise DomainError("c must be positive")
+    if p == 0.0 or p == 1.0:
+        raise DegenerateError(f"p = {p} has no derivative-primary profile of this form")
     crit = critical_exponents(n)
     if _is_critical(p, crit.p_c, 1e-12):
         raise CriticalError("the derivative formula divides by b = 0 at p = p_c")
+    params = PLEParams(p, n, 1.0 / p, SimilarityType.TYPE_I)  # refuses p = 2 before b divides by it
     b = p * (n + 1.0) * (p - crit.p_c) / ((p - 2.0) * (p - 1.0))
     E = (p - 2.0) * b / p
     q = -(n - 1.0) / (p - 1.0)
-    params = PLEParams(p, n, 1.0 / p, SimilarityType.TYPE_I)
     support, derivs, raw = _power_law(1.0, q, c, 1.0 / ((p - 1.0) * b), E, 1.0 / (p - 2.0))
     fprime, fsecond, _ = derivs
     edge = support[1]

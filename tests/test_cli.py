@@ -339,6 +339,29 @@ class TestExponentMinusOneContract:
         assert data["error"]["type"] == "DegenerateError"
 
 
+class TestDipoleLinearExponentContract:
+    """m = 1 (p = 0, 1, 2) is refused before a dipole factory divides by m - 1 (p, p - 1, p - 2)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("explicit", "--kind", "dipole-pme", "--m", "1", "--n", "3"),
+            ("explicit", "--kind", "dipole-derivative-ple", "--p", "2", "--n", "3"),
+            ("explicit", "--kind", "dipole-derivative-ple", "--p", "1", "--n", "3"),
+            ("explicit", "--kind", "dipole-derivative-ple", "--p", "0", "--n", "3"),
+        ],
+        ids=["dipole-pme-m-one", "dipole-derivative-ple-p-two", "dipole-derivative-ple-p-one",
+             "dipole-derivative-ple-p-zero"],
+    )
+    def test_explicit_is_a_degenerate_json_error(self, argv):
+        res = run_cli(*argv)
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        data = json.loads(res.stdout)
+        assert data["status"] == "error"
+        assert data["error"]["type"] == "DegenerateError"
+
+
 class TestMapAllBranchesFail:
     def test_error_lists_every_branch(self):
         res = run_cli("map", "--eq", "pme", "--m", "-1", "--n", "3", "--beta", "0.5")

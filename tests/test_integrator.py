@@ -9,11 +9,14 @@ from ssflow import (
     DomainError,
     IntegrationFailure,
     IntegrationSettings,
+    PLEParams,
     PMEParams,
     StopEvent,
     Trajectory,
     compare_trajectories,
     integrate,
+    ple_native_system_xy,
+    pme_native_system,
     straight_line,
     unified_coefficients,
     unified_system,
@@ -319,3 +322,232 @@ class TestDop853Oracle:
         ref = solve_ivp(lambda r, y: rhs(y), (0.0, r1), y0, method="DOP853", rtol=1e-13, atol=1e-15).y[:, -1]
         dev = np.max(np.abs(traj.final_state - ref)) / max(1.0, np.max(np.abs(ref)))
         assert dev <= self.BOUND * rel_tol
+
+
+# ----------------------------------------------------------------------
+# Reference stepper: the array-based DOPRI5 loop the scalar loop replaced,
+# kept verbatim so that every output byte can be compared with it.
+# ----------------------------------------------------------------------
+
+_REF_A = tuple(
+    np.asarray(row)
+    for row in (
+        (),
+        (1 / 5,),
+        (3 / 40, 9 / 40),
+        (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    )
+)
+_REF_E = np.asarray((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40))
+
+
+def _ref_hermite(theta, h, y0, f0, y1, f1):
+    t2 = theta * theta
+    t3 = t2 * theta
+    h00 = 2 * t3 - 3 * t2 + 1
+    h10 = t3 - 2 * t2 + theta
+    h01 = -2 * t3 + 3 * t2
+    h11 = t3 - t2
+    return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
+
+
+def _ref_locate_event(ev, h, y0, f0, y1, f1):
+    g0 = y0[ev.component] - ev.bound
+    g1 = y1[ev.component] - ev.bound
+    if g0 == 0.0 or g0 * g1 > 0.0:
+        return None
+    rising = g1 > g0
+    if ev.direction == 1 and not rising:
+        return None
+    if ev.direction == -1 and rising:
+        return None
+    lo, hi = 0.0, 1.0
+    glo = g0
+    while (hi - lo) * abs(h) > 1e-12:
+        mid = 0.5 * (lo + hi)
+        gm = _ref_hermite(mid, h, y0, f0, y1, f1)[ev.component] - ev.bound
+        if gm == 0.0:
+            return mid
+        if (gm > 0.0) == (glo > 0.0):
+            lo, glo = mid, gm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _ref_integrate(rhs, y0, span, settings):
+    """Returns (r1, states, derivs, status); a failure returns its partial with status "failure"."""
+    r0, r_end = float(span[0]), float(span[1])
+    direction = 1.0 if r_end > r0 else -1.0
+    rel_tol, abs_tol, max_step = settings.rel_tol, settings.abs_tol, settings.max_step
+    y = np.array(y0, dtype=float).reshape(2)
+    f = np.array(rhs(y), dtype=float).reshape(2)
+    rs, ys, fs = [r0], [y], [f]
+
+    def result(status):
+        return np.array(rs), np.array(ys), np.array(fs), status
+
+    h = direction * min(max_step, abs(r_end - r0) / 100.0, 0.1)
+    r = r0
+    accepted = 0
+    k = np.empty((7, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            if accepted >= settings.max_steps:
+                return result("truncated")
+            remaining = r_end - r
+            if direction * remaining <= 0.0:
+                return result("completed")
+            if abs(h) > abs(remaining):
+                h = remaining
+            if abs(h) > max_step:
+                h = direction * max_step
+            k[0] = f
+            err_norm = math.nan
+            for i in range(1, 7):
+                y_new = y + h * (k[:i].T @ _REF_A[i])
+                a, b = rhs(y_new)
+                if not (math.isfinite(a) and math.isfinite(b)):
+                    break
+                k[i] = a, b
+            else:
+                u, v = y_new
+                if math.isfinite(u) and math.isfinite(v):
+                    q0, q1 = h * (k.T @ _REF_E) / (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new)))
+                    err_norm = math.sqrt((q0 * q0 + q1 * q1) / 2)
+            if math.isnan(err_norm):
+                factor = 0.5
+            else:
+                factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+            if not err_norm <= 1.0:
+                h *= factor
+                if abs(h) < 1e-14 * max(1.0, abs(r)):
+                    return result("failure")
+                continue
+            f_new = k[6].copy()
+            hit = None
+            for ev in settings.stop_events:
+                theta = _ref_locate_event(ev, h, y, f, y_new, f_new)
+                if theta is not None and (hit is None or theta < hit[0]):
+                    hit = (theta, ev)
+            if hit is not None:
+                theta, ev = hit
+                y_ev = _ref_hermite(theta, h, y, f, y_new, f_new)
+                rs.append(r + theta * h)
+                ys.append(y_ev)
+                fs.append(np.array(rhs(y_ev), dtype=float))
+                return result("event")
+            r += h
+            y, f = y_new, f_new
+            rs.append(r)
+            ys.append(y)
+            fs.append(f)
+            accepted += 1
+            if math.hypot(u, v) > 1e12:
+                return result("diverged")
+            h *= factor
+
+
+def _nan_beyond_one(y):
+    return (math.nan, math.nan) if y[0] > 1.0 else (1.0, 0.0)
+
+
+_UNIFIED = unified_system(unified_coefficients(PME))
+# (rhs, y0, span, settings, expected status)
+BIT_CASES = {
+    "completed": (_UNIFIED, (0.01, 0.8), (0.0, 5.0), IntegrationSettings(), "completed"),
+    "diverged": (_UNIFIED, (0.5, 3.0), (0.0, 50.0), IntegrationSettings(), "diverged"),
+    "truncated": (_UNIFIED, (0.01, 0.8), (0.0, 5.0), IntegrationSettings(max_steps=5), "truncated"),
+    "event-up": (_gaussian_flow, (1.0, 0.0), (0.0, 5.0),
+                 IntegrationSettings(stop_events=(StopEvent(0, 20.0, +1),)), "event"),
+    "event-down": (_gaussian_flow, (1.0, 0.0), (0.0, -5.0),
+                   IntegrationSettings(stop_events=(StopEvent(1, -1.5, -1),)), "event"),
+    "nan-failure": (_nan_beyond_one, (0.0, 0.0), (0.0, 3.0), IntegrationSettings(), "failure"),
+    "backward": (_UNIFIED, (0.01, 0.8), (2.0, -1.0), IntegrationSettings(), "completed"),
+    "max-step": (_UNIFIED, (0.01, 0.8), (0.0, 2.0), IntegrationSettings(max_step=0.01), "completed"),
+    "pme-native": (pme_native_system(PME), (0.2, 0.5), (0.0, 3.0), IntegrationSettings(), "completed"),
+    "ple-native": (ple_native_system_xy(PLEParams(1.25, 2.5, 0.4)), (0.3, -0.2), (0.0, 1.0),
+                   IntegrationSettings(), "completed"),
+}
+
+
+def _run(rhs, y0, span, settings):
+    """The trajectory and status of ``integrate``; a failure gives its partial and "failure"."""
+    try:
+        traj = integrate(rhs, y0, span, settings)
+    except IntegrationFailure as exc:
+        traj, status = exc.partial, "failure"
+    else:
+        status = traj.status
+    return traj, status
+
+
+def _assert_same_bytes(rhs, y0, span, settings):
+    traj, status = _run(rhs, y0, span, settings)
+    r1, states, derivs, ref_status = _ref_integrate(rhs, y0, span, settings)
+    assert status == ref_status
+    assert traj.r1.tobytes() == r1.tobytes()
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.derivs.tobytes() == derivs.tobytes()
+    return status
+
+
+class TestScalarLoopBitIdentity:
+    """The scalar step loop reproduces the array loop byte for byte."""
+
+    @pytest.mark.parametrize("case", BIT_CASES.values(), ids=BIT_CASES.keys())
+    def test_outcome_matches_reference(self, case):
+        rhs, y0, span, settings, expected = case
+        assert _assert_same_bytes(rhs, y0, span, settings) == expected
+
+    def test_seeded_orbits_match_reference(self):
+        rng = np.random.default_rng(20071)
+        statuses = set()
+        for _ in range(60):
+            c = rng.uniform(-2.0, 2.0, size=3)
+            coeffs = UnifiedCoefficients(c[0], c[1], c[2], 1.0, int(rng.choice((-1, 1))), int(rng.choice((-1, 0, 1))))
+            y0 = tuple(rng.uniform(-1.0, 1.0, size=2))
+            span = (0.0, float(rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 6.0)))
+            events = (StopEvent(1, float(rng.uniform(-2.0, 2.0)), int(rng.choice((-1, 0, 1)))),)
+            settings = IntegrationSettings(rel_tol=10.0 ** rng.uniform(-11.0, -6.0), max_steps=400,
+                                           stop_events=events if rng.random() < 0.5 else ())
+            statuses.add(_assert_same_bytes(unified_system(coeffs), y0, span, settings))
+        assert {"completed", "event", "diverged"} <= statuses
+
+    def test_rhs_receives_float_tuples(self):
+        seen = set()
+
+        def spy(y):
+            seen.add((type(y), type(y[0]), type(y[1]), len(y)))
+            return _gaussian_flow(y)
+
+        integrate(spy, np.array([1.0, 0.0]), (0.0, 5.0), IntegrationSettings(stop_events=(StopEvent(0, 20.0, +1),)))
+        assert seen == {(tuple, float, float, 2)}
+
+
+class TestKernelCounters:
+    """meta counts the accepted and rejected steps and the rhs calls of every outcome."""
+
+    @pytest.mark.parametrize("case", BIT_CASES.values(), ids=BIT_CASES.keys())
+    def test_counters_match_counting_wrapper(self, case):
+        rhs, y0, span, settings, _ = case
+        evals = 0
+
+        def counted(y):
+            nonlocal evals
+            evals += 1
+            return rhs(y)
+
+        traj, status = _run(counted, y0, span, settings)
+        meta = traj.meta
+        assert meta["rhs_evals"] == evals
+        assert meta["accepted"] == len(traj) - 1
+        assert meta["settings"] is settings
+        if status != "failure":  # a non-finite stage ends its attempt early, so the inference undercounts
+            events = 1 if status == "event" else 0
+            assert meta["rejected"] == (evals - 1 - events) // 6 - meta["accepted"]
+        else:
+            assert meta["rejected"] >= 1

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from ssflow import (
     ClosedFormProfile,
     CriticalError,
+    DegenerateError,
     DomainError,
     OutsideSupportError,
     PLEParams,
@@ -136,6 +137,11 @@ class TestDipolePME:
         with pytest.raises(CriticalError):
             dipole_pme(1.0 / 3.0, 3.0, 1.0)
 
+    def test_linear_exponent_refused_by_params(self):
+        # b divides by m - 1; PMEParams refuses m = 1 first
+        with pytest.raises(DegenerateError):
+            dipole_pme(1.0, 3.0, 1.0)
+
 
 class TestDipoleDerivativePLE:
     def test_reference_shape(self):
@@ -170,6 +176,12 @@ class TestDipoleDerivativePLE:
     def test_critical_refused(self):
         with pytest.raises(CriticalError):
             dipole_derivative_ple(1.5, 3.0, 1.0)  # p_c(3) = 3/2
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, 2.0])
+    def test_degenerate_exponent_refused(self, p):
+        # beta = 1/p and b divides by (p - 1)(p - 2): each is refused before it divides
+        with pytest.raises(DegenerateError):
+            dipole_derivative_ple(p, 3.0, 1.0)
 
 
 class TestLoewnerNirenberg:
