@@ -106,7 +106,8 @@ class Trajectory:
 
     ``derivs`` stores the right-hand side at each node (used for cubic Hermite
     interpolation); ``status`` is one of completed / event / diverged /
-    truncated; ``meta`` carries the originating system and parameters.
+    truncated; ``meta`` holds the integrator's ``settings``, ``accepted``, ``rejected``,
+    ``rhs_evals`` and fired stop ``event`` (mapped orbits add ``system``, ``mapped_from``).
     """
 
     r1: np.ndarray
@@ -236,28 +237,21 @@ def ple_native_rhs_xy(state, params: PLEParams) -> tuple[float, float]:
     return ple_native_system_xy(params)(_pair(state))
 
 
-def _unified_field(psi, phi, c1, c2, c3, e, k):
-    """The unified polynomial field on components; e = psi_coeff, k = const_term."""
-    return psi * phi, c1 * phi * phi - c2 * psi * phi - c3 * phi + e * psi + k
-
-
-def unified_rhs(state, coeffs: UnifiedCoefficients) -> tuple[float, float]:
-    """dPsi = Psi Phi,  dPhi = c1 Phi^2 - c2 Psi Phi - c3 Phi + e Psi + sgn(b)."""
-    psi, phi = _pair(state)
-    return _unified_field(psi, phi, coeffs.c1, coeffs.c2, coeffs.c3, coeffs.psi_coeff, coeffs.const_term)
-
-
 def unified_system(coeffs: UnifiedCoefficients):
     """Right-hand side for the integrator: a (Psi, Phi) pair in, the (dPsi, dPhi) pair out."""
     c1, c2, c3 = coeffs.c1, coeffs.c2, coeffs.c3
     e, k = float(coeffs.psi_coeff), float(coeffs.const_term)
-    kernel = _unified_field  # a local: the integrator calls rhs in its inner loop
 
     def rhs(y) -> tuple[float, float]:
         psi, phi = y
-        return kernel(psi, phi, c1, c2, c3, e, k)
+        return psi * phi, c1 * phi * phi - c2 * psi * phi - c3 * phi + e * psi + k
 
     return rhs
+
+
+def unified_rhs(state, coeffs: UnifiedCoefficients) -> tuple[float, float]:
+    """dPsi = Psi Phi,  dPhi = c1 Phi^2 - c2 Psi Phi - c3 Phi + e Psi + sgn(b)."""
+    return unified_system(coeffs)(_pair(state))
 
 
 # ----------------------------------------------------------------------

@@ -288,6 +288,18 @@ class TestNonFiniteInputs:
         with pytest.raises(DomainError):
             integrate(_linear_flow, (0.0, 0.0), span)
 
+    @pytest.mark.parametrize(
+        "y0",
+        [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 0.0), (1.0, 2.0, 3.0), (1.0,), (), None],
+        ids=["inf", "-inf", "nan", "triple", "single", "empty", "none"],
+    )
+    def test_y0_not_a_finite_pair_refused(self, y0):
+        def rhs(y):
+            raise AssertionError("rhs called before y0 was checked")
+
+        with pytest.raises(DomainError):
+            integrate(rhs, y0, (0.0, 1.0))
+
 
 class TestDop853Oracle:
     """Final states agree with SciPy's DOP853 run at far tighter tolerance.
@@ -551,3 +563,64 @@ class TestKernelCounters:
             assert meta["rejected"] == (evals - 1 - events) // 6 - meta["accepted"]
         else:
             assert meta["rejected"] >= 1
+
+
+# Stage-sum buffers: seeded normal values mixed with signed zeros, subnormals
+# and products that overflow.
+_SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2e-308, -2.2e-308,
+                     1e308, -1e308, 1.7e308, -1.7e308, 1.0, -1.0])
+
+
+def _stage_buffers(count, seed=1301):
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        normal = rng.standard_normal((7, 2))
+        if t % 3 == 0:
+            yield normal
+        elif t % 3 == 1:
+            yield rng.choice(_SPECIAL, (7, 2))
+        else:
+            yield np.where(rng.random((7, 2)) < 0.5, normal, rng.choice(_SPECIAL, (7, 2)))
+
+
+def _copysign_flow(y):
+    # f0 = -5e-324 at psi = -0.0: the first stage sum 0.2 * f0 underflows to a zero
+    # whose sign depends on whether it was fused with the +0.0 it is added to.
+    return math.copysign(5e-324, y[0]), 1.0
+
+
+class TestStageSumDispatch:
+    """``ndarray.dot`` gives the stage-sum bytes of ``@`` wherever the integrator uses it.
+
+    For i >= 2 (and the error sum, i = 7) both reach dgemv('N', 2, i, 1, k, 2, a, 1,
+    0, y, 1) on the C-ordered k: ``dot`` reads the F-contiguous (2, i) view as
+    ColMajor/NoTrans, matmul reads the (i, 2) memory as RowMajor/Trans.  For i = 1
+    ``dot`` scales one column with an axpy, while ``@`` adds one product to +0.0;
+    with a fused multiply-add the two differ in the sign of an underflowed zero, so
+    the integrator keeps ``@`` for the first stage.
+    """
+
+    ROWS = dict(enumerate(_REF_A)) | {7: _REF_E}
+
+    @pytest.mark.parametrize("i", [2, 3, 4, 5, 6, 7])
+    def test_dot_matches_matmul(self, i):
+        k = np.empty((7, 2))
+        view, row = k[:i].T, self.ROWS[i]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for buf in _stage_buffers(3000):
+                k[:] = buf
+                assert view.dot(row).tobytes() == (view @ row).tobytes(), buf[:i]
+
+    def test_first_stage_differs_at_most_in_a_zero_sign(self):
+        k = np.empty((7, 2))
+        view, row = k[:1].T, self.ROWS[1]
+        for buf in _stage_buffers(3000):
+            k[:] = buf
+            by_dot, by_matmul = view.dot(row), view @ row
+            assert np.array_equal(by_dot, by_matmul), buf[:1]
+            nonzero = by_matmul != 0.0
+            assert by_dot[nonzero].tobytes() == by_matmul[nonzero].tobytes(), buf[:1]
+
+    @pytest.mark.parametrize("span", [(0.0, 1.0), (0.0, -1.0)])
+    def test_underflowed_first_stage_matches_reference(self, span):
+        _assert_same_bytes(_copysign_flow, (-0.0, 0.0), span, IntegrationSettings(max_steps=20))
