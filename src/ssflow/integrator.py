@@ -123,8 +123,8 @@ def integrate(rhs, y0, span, settings: IntegrationSettings | None = None) -> Tra
     ``rhs_evals``.  Termination: the end of the span (status "completed"), a
     stop event ("event"), the step budget ("truncated"), or the divergence
     guard ("diverged").  Non-finite values from ``rhs`` that persist as the
-    step shrinks raise IntegrationFailure carrying the partial trajectory; a
-    ``y0`` that is not a finite pair raises DomainError before any ``rhs`` call.
+    step shrinks raise IntegrationFailure carrying the partial trajectory.  A ``y0``
+    (before any ``rhs`` call) or ``rhs(y0)`` that is not a finite pair raises DomainError.
     """
     settings = settings or IntegrationSettings()
     r0, r_end = float(span[0]), float(span[1])
@@ -140,9 +140,10 @@ def integrate(rhs, y0, span, settings: IntegrationSettings | None = None) -> Tra
     if y.shape != (2,) or not np.isfinite(y).all():
         raise DomainError(f"y0 must be a finite pair, got {y0!r}")
     y0, y1 = y.tolist()
-    f0, f1 = np.array(rhs((y0, y1)), dtype=float).reshape(2).tolist()
-    if not (math.isfinite(f0) and math.isfinite(f1)):
-        raise DomainError(f"rhs is not finite at the initial state {y}")
+    f = np.array(rhs((y0, y1)), dtype=float)
+    if f.shape != (2,) or not np.isfinite(f).all():
+        raise DomainError(f"rhs must give a finite pair at the initial state {y}, got {f}")
+    f0, f1 = f.tolist()
 
     rs, ys, fs = [r0], [(y0, y1)], [(f0, f1)]
     meta = {"settings": settings}
@@ -150,14 +151,18 @@ def integrate(rhs, y0, span, settings: IntegrationSettings | None = None) -> Tra
     r = r0
     accepted = rejected = 0
     evals = 1  # rhs calls so far
-    # The stage sums stay BLAS products on the C-ordered k: dgemv fixes their summation
-    # order, and so the bits of every trajectory.  dot reaches the same dgemv('N', 2, i, ..)
-    # as @ at half the cost (ColMajor/NoTrans on the (2, i) view; matmul: RowMajor/Trans).
-    # Stage 1 keeps @: there dot is an axpy, whose FMA keeps the sign of an underflowed zero.
+    # Stage sums keep the bytes of the array loop's k[:i].T @ A[i] and k.T @ E.  Stage 1 is
+    # 0.0 + f * 0.2 on floats, the unfused op = 0; op += a*b that @ runs for one column (dot's
+    # axpy would fuse it and keep the sign of an underflowed zero).  The others stay dgemv on
+    # the C-ordered k, which fixes their summation order: dot reaches @'s dgemv('N', 2, i, ..)
+    # (ColMajor/NoTrans on the (2, i) view; matmul: RowMajor/Trans) and zeroes the reused out
+    # first.  Rows go in through kf, a flat view of k's doubles: kf[2*i + c] is k[i, c].
     k = np.empty((7, 2))
-    k[0, 0], k[0, 1] = f0, f1
-    stages = [(i, k[:i].T.dot if i > 1 else k[:1].T.__matmul__, _A_NP[i]) for i in range(1, 7)]
-    error_sum = k.T.dot
+    kf = memoryview(k).cast("B").cast("d")
+    kf[0], kf[1] = f0, f1
+    sums = memoryview(out := np.empty(2))
+    # Each stage stores its row, then forms the next sum; after row 6 that is the error sum.
+    stages = [(2 * i, k[:i + 1].T.dot, row) for i, row in enumerate(_A_NP[2:] + (_E_NP,), 1)]
 
     def result(status):
         meta.update(accepted=accepted, rejected=rejected, rhs_evals=evals)
@@ -177,21 +182,21 @@ def integrate(rhs, y0, span, settings: IntegrationSettings | None = None) -> Tra
                 h = direction * max_step
 
             err_norm = math.nan  # stays NaN when a stage or the new state is not finite
-            for i, stage_sum, a_row in stages:
-                s0, s1 = stage_sum(a_row).tolist()
+            s0, s1 = 0.0 + f0 * 0.2, 0.0 + f1 * 0.2
+            for j, next_sum, a_row in stages:
                 u = y0 + h * s0
                 v = y1 + h * s1
                 a, b = rhs((u, v))
                 evals += 1
                 if not (math.isfinite(a) and math.isfinite(b)):
                     break
-                k[i, 0] = a  # two scalar stores cost half of one row store
-                k[i, 1] = b
+                kf[j], kf[j + 1] = a, b
+                next_sum(a_row, out)
+                s0, s1 = sums
             else:  # the quadrature row equals the last stage point, so (u, v) is the new state
                 if math.isfinite(u) and math.isfinite(v):
-                    e0, e1 = error_sum(_E_NP).tolist()
-                    q0 = h * e0 / (abs_tol + rel_tol * max(abs(y0), abs(u)))
-                    q1 = h * e1 / (abs_tol + rel_tol * max(abs(y1), abs(v)))
+                    q0 = h * s0 / (abs_tol + rel_tol * max(abs(y0), abs(u)))
+                    q1 = h * s1 / (abs_tol + rel_tol * max(abs(y1), abs(v)))
                     err_norm = math.sqrt((q0 * q0 + q1 * q1) / 2)
 
             if math.isnan(err_norm):  # something was not finite: halve the step
@@ -229,7 +234,7 @@ def integrate(rhs, y0, span, settings: IntegrationSettings | None = None) -> Tra
 
             r += h
             y0, y1, f0, f1 = u, v, a, b
-            k[0, 0], k[0, 1] = a, b
+            kf[0], kf[1] = a, b
             rs.append(r)
             ys.append((u, v))
             fs.append((a, b))

@@ -87,17 +87,21 @@ class NativeStatePLE:
         return cls(x, z, y)
 
 
+def _check_eta(eta):
+    if not 0.0 < eta < math.inf:  # refuses NaN
+        raise DomainError(f"eta must be positive and finite, got {eta}")
+
+
 @dataclass(frozen=True)
 class ProfileSample:
-    """One radial sample (eta, f(eta), f'(eta)) with eta > 0."""
+    """One radial sample (eta, f(eta), f'(eta)) with 0 < eta < inf."""
 
     eta: float
     f: float
     fprime: float
 
     def __post_init__(self):
-        if self.eta <= 0.0:
-            raise DomainError(f"eta must be positive, got {self.eta}")
+        _check_eta(self.eta)
 
 
 @dataclass(frozen=True)
@@ -356,10 +360,11 @@ def profile_to_state(sample: ProfileSample, params) -> PhaseState:
 def state_to_profile(state, eta: float, params, coeffs: UnifiedCoefficients | None = None) -> ProfileSample:
     """Inverse of ``profile_to_state``: the sample at radius ``eta`` carried by a unified state.
 
-    The phase plane forgets the eta scale, so the caller supplies eta.  Raises
-    OutsideSupportError (porous medium) or OrientationError (p-Laplacian) when
-    Psi is not positive, and SingularEvaluationError at p-Laplacian alpha = 0.
+    The phase plane forgets the eta scale, so the caller supplies 0 < eta < inf
+    (checked first).  Raises OutsideSupportError (porous medium) or OrientationError
+    (p-Laplacian) when Psi is not positive, SingularEvaluationError at p-Laplacian alpha = 0.
     """
+    _check_eta(eta)
     psi, phi = _pair(state)
     if isinstance(params, PMEParams):
         x, y = _pme_inverse(psi, phi, params, _scale(params, coeffs))

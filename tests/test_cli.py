@@ -75,6 +75,13 @@ class TestCoeffsCommand:
         assert data["coefficients"]["critical"] is True
         assert data["coefficients"]["c3"] == -1.0
 
+    def test_nan_critical_tol_is_a_domain_error(self):
+        res = run_cli("coeffs", "--eq", "pme", "--m", "2", "--n", "1", "--beta", "0.25", "--critical-tol", "nan")
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        data = json.loads(res.stdout)
+        assert data["error"]["type"] == "DomainError"
+
 
 class TestIntegrateCommand:
     def test_csv_contract_and_roundtrip(self, tmp_path):
@@ -129,6 +136,15 @@ class TestProfileCommand:
             eta, f, fp = map(float, line.split(","))
             assert f == pytest.approx(1.0 - eta * eta / 6.0, abs=1e-7)
             assert fp == pytest.approx(-eta / 3.0, abs=1e-7)
+
+    @pytest.mark.parametrize("eta", ["0", "nan", "inf", "-1"])
+    def test_anchor_eta_not_positive_and_finite_is_a_domain_error(self, eta):
+        res = run_cli("profile", "--preset", "barenblatt-line", "--anchor-eta", eta)
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert "eta,f,fprime" not in res.stdout
+        data = json.loads(res.stdout)
+        assert data["error"]["type"] == "DomainError"
 
 
 class TestExplicitCommand:

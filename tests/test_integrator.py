@@ -264,6 +264,23 @@ class TestRhsContract:
         assert (evals - 1 - n_events) % 6 == 0
         assert evals - 1 - n_events >= 6 * accepted
 
+    @pytest.mark.parametrize(
+        "value",
+        [(1.0, 0.0, 5.0), (1.0,), 5.0, None, [[1.0, 0.0]], np.zeros((2, 1))],
+        ids=["triple", "single", "scalar", "none", "row", "column"],
+    )
+    def test_not_a_pair_at_start_refused_before_stepping(self, value):
+        calls = 0
+
+        def rhs(y):
+            nonlocal calls
+            calls += 1
+            return value
+
+        with pytest.raises(DomainError):
+            integrate(rhs, (0.0, 0.0), (0.0, 1.0))
+        assert calls == 1
+
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize(
@@ -590,26 +607,64 @@ def _copysign_flow(y):
 
 
 class TestStageSumDispatch:
-    """``ndarray.dot`` gives the stage-sum bytes of ``@`` wherever the integrator uses it.
+    """The integrator's stage sums give the bytes of the array loop's ``@`` products.
 
     For i >= 2 (and the error sum, i = 7) both reach dgemv('N', 2, i, 1, k, 2, a, 1,
     0, y, 1) on the C-ordered k: ``dot`` reads the F-contiguous (2, i) view as
-    ColMajor/NoTrans, matmul reads the (i, 2) memory as RowMajor/Trans.  For i = 1
-    ``dot`` scales one column with an axpy, while ``@`` adds one product to +0.0;
-    with a fused multiply-add the two differ in the sign of an underflowed zero, so
-    the integrator keeps ``@`` for the first stage.
+    ColMajor/NoTrans, matmul reads the (i, 2) memory as RowMajor/Trans; ``dot``
+    zeroes its ``out`` before the call, so a reused one carries nothing over.  For
+    i = 1 ``dot`` scales one column with an axpy, while ``@`` adds one unfused
+    product to +0.0; with a fused multiply-add the two differ in the sign of an
+    underflowed zero, so the integrator forms the first stage as ``0.0 + f * 0.2``.
     """
 
     ROWS = dict(enumerate(_REF_A)) | {7: _REF_E}
 
     @pytest.mark.parametrize("i", [2, 3, 4, 5, 6, 7])
     def test_dot_matches_matmul(self, i):
-        k = np.empty((7, 2))
+        k, out = np.empty((7, 2)), np.empty(2)
         view, row = k[:i].T, self.ROWS[i]
         with np.errstate(over="ignore", invalid="ignore"):
             for buf in _stage_buffers(3000):
                 k[:] = buf
-                assert view.dot(row).tobytes() == (view @ row).tobytes(), buf[:i]
+                by_matmul = (view @ row).tobytes()
+                assert view.dot(row).tobytes() == by_matmul, buf[:i]
+                out[0] = math.nan  # what a reused out may hold after an overflowed stage
+                view.dot(row, out)
+                assert out.tobytes() == by_matmul, buf[:i]
+
+    def test_first_stage_on_floats_matches_matmul(self):
+        k = np.empty((7, 2))
+        view, row = k[:1].T, self.ROWS[1]
+        for buf in _stage_buffers(3000):
+            k[:] = buf
+            f0, f1 = buf[0].tolist()
+            assert np.array([0.0 + f0 * 0.2, 0.0 + f1 * 0.2]).tobytes() == (view @ row).tobytes(), buf[:1]
+
+    def test_flat_view_aliases_the_stage_buffer(self):
+        k = np.empty((7, 2))
+        kf = memoryview(k).cast("B").cast("d")
+        for buf in _stage_buffers(30):
+            for i in range(7):
+                kf[2 * i], kf[2 * i + 1] = buf[i].tolist()
+            assert k.tobytes() == buf.tobytes()
+            k[:] = -buf
+            assert np.array(kf.tolist()).tobytes() == k.tobytes()
+
+    @pytest.mark.parametrize(
+        "rhs",
+        [
+            lambda y: (math.floor(8.0 * y[1]), 1),
+            lambda y: (2**53 + 1, 2**60 + 1),  # ints that round on the way to a double
+            lambda y: (np.float32(y[0] * y[1] + 1.0), np.float32(-y[0])),
+            lambda y: (np.array(y[0] * y[1]), np.array(1.0)),
+        ],
+        ids=["int", "big-int", "float32", "0-d"],
+    )
+    def test_non_float_rhs_values_match_reference(self, rhs):
+        settings = IntegrationSettings(stop_events=(StopEvent(0, 1.5, +1),))
+        for span in ((0.0, 3.0), (0.0, -3.0)):
+            _assert_same_bytes(rhs, (1.0, 0.0), span, settings)
 
     def test_first_stage_differs_at_most_in_a_zero_sign(self):
         k = np.empty((7, 2))

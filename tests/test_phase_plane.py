@@ -5,6 +5,7 @@ import pytest
 
 from ssflow import (
     AnchorMismatchError,
+    DomainError,
     IntegrationSettings,
     NativeStatePLE,
     NativeStatePME,
@@ -203,6 +204,11 @@ class TestProfileToState:
         with pytest.raises(Exception):
             ProfileSample(0.0, 1.0, -1.0)
 
+    @pytest.mark.parametrize("eta", [0.0, -1.0, math.nan, math.inf])
+    def test_eta_not_positive_and_finite_refused(self, eta):
+        with pytest.raises(DomainError):
+            ProfileSample(eta, 1.0, -1.0)
+
 
 class TestConjugacyByFiniteDifferences:
     def test_mapped_derivative_matches_unified_field(self):
@@ -375,6 +381,12 @@ class TestSingleImplementation:
         for psi in (0.0, -0.1):
             with pytest.raises(OrientationError):
                 state_to_profile(PhaseState(psi, 0.5), 1.0, params)
+
+    @pytest.mark.parametrize("eta", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("params", [PME, PLEParams(3.0, 1.0, 0.25)], ids=["pme", "ple"])
+    def test_state_to_profile_refuses_eta_before_dividing(self, params, eta):
+        with pytest.raises(DomainError):
+            state_to_profile(PhaseState(0.2, 0.5), eta, params)
 
     def test_state_to_profile_pme_outside_support(self):
         with pytest.raises(OutsideSupportError):
