@@ -24,10 +24,8 @@ import os
 import re
 import sys
 
-from . import solutions
 from .equivalence import Branch, ple_to_pme, pme_to_ple, verify_equivalence
 from .errors import IntegrationFailure, SsflowError
-from .integrator import IntegrationSettings, integrate
 from .params import (
     PLEParams,
     PMEParams,
@@ -35,8 +33,9 @@ from .params import (
     alpha_from,
     unified_coefficients,
 )
-from .phase_plane import reconstruct_profile, state_to_profile, straight_line, unified_system
-from .verify import _Agg, run_default_verification
+
+# numpy loads only with the modules that need it, imported inside the commands
+# that use them: `map` and `coeffs` run on the scalar modules above.
 
 _EXIT_CODES = {"ok": 0, "error": 1, "fail": 2}
 
@@ -195,6 +194,9 @@ def cmd_coeffs(args) -> int:
 
 
 def _integrate_from_args(args):
+    from .integrator import IntegrationSettings, integrate
+    from .phase_plane import straight_line, unified_system
+
     if args.preset:
         params, (psi0, phi0), span = PRESETS[args.preset]
     else:
@@ -218,6 +220,8 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    from .phase_plane import reconstruct_profile, state_to_profile
+
     params, coeffs, traj = _integrate_from_args(args)
     anchor = state_to_profile(traj.states[0], args.anchor_eta, params, coeffs)
     samples = reconstruct_profile(traj, params, anchor)
@@ -225,18 +229,23 @@ def cmd_profile(args) -> int:
     return 0
 
 
+# kind -> (builder in ``solutions``, exponent flag, constant flag)
 _EXPLICIT_BUILDERS = {
-    "barenblatt-pme": (solutions.barenblatt_pme, "m", "C"),
-    "barenblatt-ple": (solutions.barenblatt_ple, "p", "C"),
-    "dipole-pme": (solutions.dipole_pme, "m", "K"),
-    "dipole-derivative-ple": (solutions.dipole_derivative_ple, "p", "c"),
-    "loewner-nirenberg-pme": (solutions.loewner_nirenberg_pme, None, "k1"),
-    "yamabe-ple": (solutions.yamabe_ple, None, "k2"),
+    "barenblatt-pme": ("barenblatt_pme", "m", "C"),
+    "barenblatt-ple": ("barenblatt_ple", "p", "C"),
+    "dipole-pme": ("dipole_pme", "m", "K"),
+    "dipole-derivative-ple": ("dipole_derivative_ple", "p", "c"),
+    "loewner-nirenberg-pme": ("loewner_nirenberg_pme", None, "k1"),
+    "yamabe-ple": ("yamabe_ple", None, "k2"),
 }
 
 
 def cmd_explicit(args) -> int:
-    builder, exponent_flag, const_flag = _EXPLICIT_BUILDERS[args.kind]
+    from . import solutions
+    from .verify import _Agg
+
+    name, exponent_flag, const_flag = _EXPLICIT_BUILDERS[args.kind]
+    builder = getattr(solutions, name)
     const = getattr(args, const_flag)
     if exponent_flag is None:
         profile = builder(args.n, const)
@@ -263,6 +272,8 @@ def cmd_explicit(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_default_verification
+
     if args.grid != "default":
         raise SsflowError(f"unknown grid {args.grid!r}; only 'default' is available")
     report = run_default_verification(tol_identities=_default_tol())

@@ -111,6 +111,10 @@ def _locate_event(ev, h, y0, f0, y1, f1):
     return 0.5 * (lo + hi)
 
 
+def _not_a_pair(value, state) -> DomainError:
+    return DomainError(f"rhs must give a pair, got {value!r} at {state}")
+
+
 def integrate(rhs, y0, span, settings: IntegrationSettings | None = None) -> Trajectory:
     """Integrate ``dy/dr = rhs(y)`` over ``span`` with adaptive step control.
 
@@ -124,7 +128,8 @@ def integrate(rhs, y0, span, settings: IntegrationSettings | None = None) -> Tra
     stop event ("event"), the step budget ("truncated"), or the divergence
     guard ("diverged").  Non-finite values from ``rhs`` that persist as the
     step shrinks raise IntegrationFailure carrying the partial trajectory.  A ``y0``
-    (before any ``rhs`` call) or ``rhs(y0)`` that is not a finite pair raises DomainError.
+    (before any ``rhs`` call) or ``rhs(y0)`` that is not a finite pair raises DomainError,
+    and so does a later ``rhs`` value that is not a pair.
     """
     settings = settings or IntegrationSettings()
     r0, r_end = float(span[0]), float(span[1])
@@ -186,8 +191,12 @@ def integrate(rhs, y0, span, settings: IntegrationSettings | None = None) -> Tra
             for j, next_sum, a_row in stages:
                 u = y0 + h * s0
                 v = y1 + h * s1
-                a, b = rhs((u, v))
+                value = rhs((u, v))
                 evals += 1
+                try:
+                    a, b = value
+                except (TypeError, ValueError):
+                    raise _not_a_pair(value, (u, v)) from None
                 if not (math.isfinite(a) and math.isfinite(b)):
                     break
                 kf[j], kf[j + 1] = a, b
@@ -225,10 +234,15 @@ def integrate(rhs, y0, span, settings: IntegrationSettings | None = None) -> Tra
             if hit is not None:
                 theta, ev = hit
                 y_ev = (_hermite(theta, h, y0, f0, u, a), _hermite(theta, h, y1, f1, v, b))
+                value = rhs(y_ev)
+                evals += 1
+                try:
+                    a, b = value
+                except (TypeError, ValueError):
+                    raise _not_a_pair(value, y_ev) from None
                 rs.append(r + theta * h)
                 ys.append(y_ev)
-                fs.append(np.array(rhs(y_ev), dtype=float))
-                evals += 1
+                fs.append((float(a), float(b)))
                 meta["event"] = ev
                 return result("event")
 

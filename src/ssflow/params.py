@@ -140,16 +140,6 @@ class UnifiedCoefficients:
         return self.const_term * self.sqrt_abs_b * self.sqrt_abs_b
 
 
-class Regime(Enum):
-    """Coarse label for parameters that need special handling; nothing dispatches on it."""
-
-    GENERIC = "generic"
-    CRITICAL_B_ZERO = "critical_b_zero"
-    YAMABE = "yamabe"
-    NEAR_LINEAR = "near_linear"
-    DIMENSION_TWO = "dimension_two"
-
-
 def _check_finite(*values):
     for v in values:
         if not math.isfinite(v):
@@ -247,26 +237,3 @@ def unified_coefficients(params, critical_tol: float = DEFAULT_CRITICAL_TOL) -> 
 def _sign(x: float) -> int:
     return 1 if x > 0.0 else (-1 if x < 0.0 else 0)
 
-
-def classify_regime(params, tol: float = 1e-9) -> Regime:
-    """Label the regime of ``params`` for reports; the package's own guards do not consult it.
-
-    Dimension two blocks the equivalence maps; near-linear exponents are
-    rejected upstream anyway; the critical and Yamabe values mark b = 0 and
-    c3 = 0 respectively.
-    """
-    n = params.n
-    if abs(n - 2.0) <= tol * 2.0:
-        return Regime.DIMENSION_TWO
-    crit = critical_exponents(n)
-    if isinstance(params, PMEParams):
-        x, x_lin, x_c, x_s = params.m, 1.0, crit.m_c, crit.m_s
-    else:
-        x, x_lin, x_c, x_s = params.p, 2.0, crit.p_c, crit.p_s
-    if abs(x - x_lin) <= tol * abs(x_lin):
-        return Regime.NEAR_LINEAR
-    if _is_critical(x, x_c, tol):
-        return Regime.CRITICAL_B_ZERO
-    if _is_critical(x, x_s, tol):
-        return Regime.YAMABE
-    return Regime.GENERIC

@@ -15,9 +15,11 @@ and return exactly 0 (up to rounding) on the closed forms.  Evaluators are
 strict about support: outside the open positivity set they raise instead of
 returning 0, so free-boundary points are never silently verified.
 
-``scipy.integrate`` is imported only inside the two functions that call
-``quad`` (``dipole_derivative_ple`` and ``mass_integral``): its import costs
-most of a CLI start-up, and no other code path needs a quadrature.
+No quadrature library is needed.  The derivative-primary f is an
+incomplete Beta integral, summed as two binomial series (``_beta_tail``).
+``mass_integral`` stays a numerical oracle: a double-exponential rule
+(tanh-sinh, or exp-sinh on an infinite support; Takahasi & Mori 1974), so
+the mass-conservation check does not hold by construction.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .errors import (
     CriticalError,
     DegenerateError,
     DomainError,
+    IntegrationFailure,
     OutsideSupportError,
     SingularEvaluationError,
     SsflowError,
@@ -105,15 +108,14 @@ class ClosedFormProfile:
 def _power_law(A: float, q: float, L: float, c: float, E: float, e: float):
     """g = A eta^q (L - c eta^E)^e, its first two derivatives and its support.
 
-    Returns ``(support, (g, g', g''), raw)``.  The derivatives come from the
+    Returns ``(support, (g, g', g''))``.  The derivatives come from the
     product and chain rules as sums of terms k eta^a w^b with w = L - c eta^E.
     Each of the three evaluators has one domain policy: eta < 0 raises
     DomainError; at eta = 0 a negative power of eta raises
     SingularEvaluationError and any other formula returns its value; eta at or
-    beyond the free boundary (w = 0) raises OutsideSupportError.  ``raw`` is
-    the positive-part formula A eta^q (w)_+^e with no checks, for quadrature.
-    The closures are pure functions of the six numbers, so profiles built
-    again with the same constants (every ``verify`` run) share them.
+    beyond the free boundary (w = 0) raises OutsideSupportError.  The closures
+    are pure functions of the six numbers, so profiles built again with the
+    same constants (every ``verify`` run) share them.
     """
     if c <= 0.0:
         support = (0.0, math.inf)
@@ -147,10 +149,6 @@ def _power_law(A: float, q: float, L: float, c: float, E: float, e: float):
 
         return h
 
-    def raw(eta):
-        w = L - c * eta ** E
-        return A * eta ** q * w ** e if w > 0.0 else 0.0
-
     cE = c * E
     derivs = (
         evaluator((A, q, e)),
@@ -161,7 +159,7 @@ def _power_law(A: float, q: float, L: float, c: float, E: float, e: float):
             (A * e * (e - 1.0) * cE * cE, q + 2.0 * E - 2.0, e - 2.0),
         ),
     )
-    return support, derivs, raw
+    return support, derivs
 
 
 def barenblatt_pme(m: float, n: float, C: float = 1.0) -> ClosedFormProfile:
@@ -179,7 +177,7 @@ def barenblatt_pme(m: float, n: float, C: float = 1.0) -> ClosedFormProfile:
     beta1 = 1.0 / denom
     k = (m - 1.0) * beta1 / 2.0
     params = PMEParams(m, n, beta1, SimilarityType.TYPE_I)
-    support, derivs, _ = _power_law(1.0, 0.0, C, k, 2.0, 1.0 / (m - 1.0))
+    support, derivs = _power_law(1.0, 0.0, C, k, 2.0, 1.0 / (m - 1.0))
     return ClosedFormProfile(
         ProfileKind.BARENBLATT_PME, {"C": C, "k": k, "beta1": beta1}, params, *derivs, support
     )
@@ -200,7 +198,7 @@ def barenblatt_ple(p: float, n: float, C: float = 1.0) -> ClosedFormProfile:
     beta1 = 1.0 / denom
     A = (p - 2.0) / p * math.copysign(abs(beta1) ** (1.0 / (p - 1.0)), beta1)
     params = PLEParams(p, n, beta1, SimilarityType.TYPE_I)
-    support, derivs, _ = _power_law(1.0, 0.0, C, A, p / (p - 1.0), (p - 1.0) / (p - 2.0))
+    support, derivs = _power_law(1.0, 0.0, C, A, p / (p - 1.0), (p - 1.0) / (p - 2.0))
     return ClosedFormProfile(
         ProfileKind.BARENBLATT_PLE, {"C": C, "A": A, "beta1": beta1}, params, *derivs, support
     )
@@ -223,7 +221,7 @@ def dipole_pme(m: float, n: float, K: float = 1.0) -> ClosedFormProfile:
     b = 2.0 * n * (m - crit.m_c) / (m - 1.0)
     q = -(n - 2.0) / m
     e = (m * n - n + 2.0) / m
-    support, derivs, _ = _power_law(1.0, q, K, 1.0 / b, e, 1.0 / (m - 1.0))
+    support, derivs = _power_law(1.0, q, K, 1.0 / b, e, 1.0 / (m - 1.0))
     return ClosedFormProfile(
         ProfileKind.DIPOLE_PME, {"K": K, "b": b, "q": q, "e": e}, params, *derivs, support
     )
@@ -234,8 +232,9 @@ def dipole_derivative_ple(p: float, n: float, c: float = 1.0) -> ClosedFormProfi
 
     f'(eta) = eta^(-(n-1)/(p-1)) (c - eta^E/((p-1)b))_+^(1/(p-2)) with
     E = (p-2)b/p; beta = 1/p forces alpha = 0 (Type I), so f never enters the
-    profile ODE and is recovered by quadrature with f = 0 at the right
-    support endpoint.  f is defined wherever f' is.
+    profile ODE.  f = -(integral of f' from eta to the right support endpoint),
+    so f = 0 there; s = eta^E/((p-1)bc) turns it into the incomplete Beta
+    integral of ``_beta_tail``.  f is defined wherever f' is.
     """
     if c <= 0.0:
         raise DomainError("c must be positive")
@@ -248,20 +247,116 @@ def dipole_derivative_ple(p: float, n: float, c: float = 1.0) -> ClosedFormProfi
     b = p * (n + 1.0) * (p - crit.p_c) / ((p - 2.0) * (p - 1.0))
     E = (p - 2.0) * b / p
     q = -(n - 1.0) / (p - 1.0)
-    support, derivs, raw = _power_law(1.0, q, c, 1.0 / ((p - 1.0) * b), E, 1.0 / (p - 2.0))
+    k, e = 1.0 / ((p - 1.0) * b), 1.0 / (p - 2.0)
+    support, derivs = _power_law(1.0, q, c, k, E, e)
     fprime, fsecond, _ = derivs
     edge = support[1]
     if math.isinf(edge):
         raise DomainError("unbounded derivative support: no right endpoint to anchor f")
-    from scipy.integrate import quad
+    # t = (c s / k)^(1/E): t^q (c - k t^E)^e dt = c^e (c/k)^a / E * s^(a-1) (1-s)^e ds
+    a = (q + 1.0) / E
+    scale = -(c ** e) * (c / k) ** a / E
+    tail = _beta_tail(a, e)
 
     def f(eta):
         fprime(eta)  # the same domain policy as f'
-        val, _ = quad(raw, eta, edge, epsabs=1e-12, epsrel=1e-12, limit=200)
-        return -val
+        v = k * eta ** E
+        return scale * tail(v / c, (c - v) / c)
 
     constants = {"c": c, "b": b, "E": E, "edge": edge}
     return ClosedFormProfile(ProfileKind.DIPOLE_DERIVATIVE_PLE, constants, params, f, fprime, fsecond, support)
+
+
+# A series stops once its remainder falls below this share of its sum, and
+# refuses to run past _SERIES_TERMS terms.
+_SERIES_TOL = 2.0 ** -56
+_SERIES_TERMS = 100_000
+
+
+def _beta_tail(a: float, e: float):
+    """The integral of t^(a-1) (1-t)^e over [s, 1], for 0 <= s < 1, e > -1 and any real a.
+
+    It is split at t = sigma into two binomial series:
+    - on [s, sigma], (1-t)^e = sum c_k t^k with c_k = (-e)_k / k!, and t^(x-1)
+      with x = a + k integrates to (sigma^x - s^x) / x, or to log(sigma/s)
+      where x = 0;
+    - on [sigma, 1], or on [s, 1] when s >= sigma, u = 1 - t gives
+      t^(a-1) = sum d_k u^k with d_k = (1-a)_k / k!, and u^(e+k) integrates
+      to u^(e+1+k) / (e+1+k).
+    sigma = 1/2, so that each ratio is at most 1/2, unless one series
+    alternates over many terms: the c_k alternate up to k = e and the d_k up
+    to k = a - 1, which costs a factor ((1+t)/(1-t))^e (or the same in u) in
+    relative accuracy.  So sigma = 1/e for e > 2, and 1 - 1/(a-1) for a > 3,
+    which bounds that factor by e^2; the other series then has positive terms
+    and converges more slowly.  Terms with x > 1/2 split into a constant,
+    summed once here, and s^x / x, which shrinks like s^k; those with
+    x <= 1/2 keep the expm1 form, so that x near 0 loses nothing to
+    cancellation.
+
+    Returns ``tail(s, u)``; the caller passes u = 1 - s, formed so that it
+    keeps its digits near t = 1.  Raises DegenerateError where a series would
+    need more than _SERIES_TERMS terms (e or |a| in the tens of thousands).
+    """
+    b = e + 1.0
+    sigma = 1.0 / e if e > 2.0 else (1.0 - 1.0 / (a - 1.0) if a > 3.0 else 0.5)
+
+    def upper(u):
+        total, d, power = 0.0, 1.0, u ** b
+        for k in range(_SERIES_TERMS):
+            term = d * power / (b + k)
+            total += term
+            if d == 0.0 or (k >= a and abs(term) <= _SERIES_TOL * (1.0 - u) * abs(total)):
+                return total
+            d *= (k + 1 - a) / (k + 1)
+            power *= u
+        raise _too_many_terms(a, e)
+
+    near, far = [], []  # (c_k, a + k) for a + k <= 1/2 and for a + k > 1/2
+    const = upper(1.0 - sigma)
+    c = 1.0
+    for k in range(_SERIES_TERMS):
+        x = a + k
+        if x <= 0.5:
+            near.append((c, x))
+        else:
+            term = c * sigma ** x / x
+            const += term
+            far.append((c, x))
+            if c == 0.0 or (k > e and abs(term) <= _SERIES_TOL * (1.0 - sigma) * abs(const)):
+                break
+        c *= (k - e) / (k + 1)
+    else:
+        raise _too_many_terms(a, e)
+    last_alternating = a + e
+
+    def tail(s, u):
+        if s >= sigma:
+            return upper(u)
+        ell = math.log(sigma / s) if s > 0.0 else math.inf
+        total = const
+        for c, x in near:
+            if x == 0.0:
+                total += c * ell
+            elif x > 0.0:
+                total -= c * sigma ** x * math.expm1(-x * ell) / x
+            else:
+                total += c * s ** x * math.expm1(x * ell) / x
+        power = s ** far[0][1]
+        for c, x in far:
+            term = c * power / x
+            total -= term
+            if x > last_alternating and abs(term) <= _SERIES_TOL * (1.0 - s) * abs(total):
+                break
+            power *= s
+        return total
+
+    return tail
+
+
+def _too_many_terms(a: float, e: float) -> DegenerateError:
+    return DegenerateError(
+        f"the incomplete Beta series for a = {a}, e = {e} needs more than {_SERIES_TERMS} terms"
+    )
 
 
 def loewner_nirenberg_pme(n: float, k1: float = 1.0) -> ClosedFormProfile:
@@ -276,7 +371,7 @@ def loewner_nirenberg_pme(n: float, k1: float = 1.0) -> ClosedFormProfile:
         raise DomainError("k1 must be positive")
     m = critical_exponents(n).m_s
     params = PMEParams(m, n, 0.0, SimilarityType.TYPE_II)
-    support, derivs, _ = _power_law(1.0, 0.0, k1, -1.0 / (4.0 * n * k1), 2.0, -(n + 2.0) / 2.0)
+    support, derivs = _power_law(1.0, 0.0, k1, -1.0 / (4.0 * n * k1), 2.0, -(n + 2.0) / 2.0)
     return ClosedFormProfile(ProfileKind.LOEWNER_NIRENBERG_PME, {"k1": k1}, params, *derivs, support)
 
 
@@ -293,7 +388,7 @@ def yamabe_ple(n: float, k2: float = 1.0) -> ClosedFormProfile:
     p = critical_exponents(n).p_s
     params = PLEParams(p, n, 0.0, SimilarityType.TYPE_II)
     C = 4.0 * n / (n + 2.0) * (4.0 * n ** 3 * k2 / (n * n - 4.0)) ** ((n - 2.0) / 4.0)
-    support, derivs, _ = _power_law(C, 0.0, 1.0, -k2, 2.0 * n / (n - 2.0), -n / 2.0)
+    support, derivs = _power_law(C, 0.0, 1.0, -k2, 2.0 * n / (n - 2.0), -n / 2.0)
     return ClosedFormProfile(ProfileKind.YAMABE_PLE, {"k2": k2, "C": C}, params, *derivs, support)
 
 
@@ -378,14 +473,78 @@ def selfsimilar_value(params, profile, x_radius: float, t: float, T: Optional[fl
     return math.exp(alpha * t) * profile.f(x_radius * math.exp(beta * t))
 
 
+# Double-exponential rule: nodes t = j h on |t| <= _DE_SPAN, at most _DE_LEVELS
+# halvings of h, and done when two successive sums agree to _DE_TOL.
+_DE_SPAN = 4.0
+_DE_LEVELS = 10
+_DE_TOL = 1e-10
+
+
+@lru_cache(maxsize=2 * _DE_LEVELS)
+def _de_level(level: int, infinite: bool):
+    """The nodes of one level on a unit scale, as read-only (left, offset, weight) arrays.
+
+    Level 0 has t = -_DE_SPAN, ..., _DE_SPAN in steps of 1; level k adds the
+    odd multiples of h = 2^-k.  With u = pi/2 sinh t, exp-sinh puts a node at
+    lo + scale * offset, offset = exp(u).  tanh-sinh puts it at
+    lo + width * offset on the left half (``left``) and at hi - width * offset
+    on the right, offset = 1 / (1 + exp(2|u|)) being its distance to the
+    nearer end.  ``weight`` is dx/dt per unit of scale or width.
+    """
+    h = 2.0 ** -level
+    t = np.arange(-_DE_SPAN, _DE_SPAN + h / 2, h) if level == 0 else np.arange(-_DE_SPAN + h, _DE_SPAN, 2.0 * h)
+    u = 0.5 * math.pi * np.sinh(t)
+    dudt = 0.5 * math.pi * np.cosh(t)
+    left = t < 0.0
+    if infinite:
+        offset = np.exp(u)
+        weight = dudt * offset
+    else:
+        offset = 1.0 / (1.0 + np.exp(2.0 * np.abs(u)))
+        weight = 0.5 * dudt / np.cosh(u) ** 2
+    for array in (left, offset, weight):
+        array.setflags(write=False)  # shared by every call through the cache
+    return left, offset, weight
+
+
+def _double_exponential(g, lo: float, hi: float, scale: float) -> float:
+    """Integral of g over (lo, hi) by the double-exponential rule (Takahasi & Mori 1974).
+
+    On a finite interval, tanh-sinh: x = lo + (hi - lo) / (1 + exp(-pi sinh t)).
+    On [lo, inf), exp-sinh: x = lo + scale exp(pi/2 sinh t).  The step h
+    halves, and each level adds only the new odd nodes, until two successive
+    sums agree to _DE_TOL.  The distance to the nearer end is formed
+    directly, and a node that rounds onto an end is dropped, so g is never
+    called at lo or hi.  Raises IntegrationFailure if the outermost terms are
+    not negligible (a divergent or slowly decaying integral) or the sums do
+    not settle.
+    """
+    infinite = math.isinf(hi)
+    width = scale if infinite else hi - lo
+    total = 0.0
+    for level in range(_DE_LEVELS):
+        left, offset, weight = _de_level(level, infinite)
+        gap = width * offset
+        x = lo + gap if infinite else np.where(left, lo + gap, hi - gap)
+        inside = (lo < x) & (x < hi)
+        weights, values = width * weight[inside], [g(xi) for xi in x[inside].tolist()]
+        part = 2.0 ** -level * float(np.dot(weights, values))
+        # the rule ends at |t| = _DE_SPAN, so the outermost terms bound what it leaves out
+        if level == 0 and not abs(weights[0] * values[0]) + abs(weights[-1] * values[-1]) <= _DE_TOL * abs(part):
+            raise IntegrationFailure(f"the integrand does not decay toward the ends of ({lo}, {hi})")
+        previous, total = total, 0.5 * total + part if level else part
+        if level and abs(total - previous) <= _DE_TOL * abs(total):
+            return total
+    raise IntegrationFailure(f"double-exponential quadrature did not settle to {_DE_TOL} in {_DE_LEVELS} levels")
+
+
 def mass_integral(profile: ClosedFormProfile, params, t: float = 1.0, T: Optional[float] = None) -> float:
     """Total mass of the self-similar solution at time t (radial quadrature).
 
-    Integrates u(r, t) r^(n-1) over the radial support and multiplies by the
-    area of the unit sphere in dimension n.
+    Integrates u(r, t) r^(n-1) over the radial support with
+    ``_double_exponential`` and multiplies by the area of the unit sphere in
+    dimension n.
     """
-    from scipy.integrate import quad
-
     n = params.n
     omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
     if params.sim_type is SimilarityType.TYPE_I:
@@ -402,5 +561,4 @@ def mass_integral(profile: ClosedFormProfile, params, t: float = 1.0, T: Optiona
     def integrand(r):
         return selfsimilar_value(params, profile, r, t, T) * r ** (n - 1.0)
 
-    val, _ = quad(integrand, lo, hi, epsabs=1e-9, epsrel=1e-9, limit=200)
-    return omega * val
+    return omega * _double_exponential(integrand, lo, hi, stretch)

@@ -36,7 +36,6 @@ from .phase_plane import (
     pme_trajectory_to_unified,
     profile_to_state,
     straight_line,
-    unified_rhs,
     unified_system,
     yamabe_curve,
 )
@@ -269,10 +268,10 @@ def check_yamabe_slope_field(tol: float = 1e-12) -> CheckResult:
     agg = _Agg(tol)
     for n in (3.0, 4.0, 5.0):
         m_s = critical_exponents(n).m_s
-        coeffs = unified_coefficients(PMEParams(m_s, n, 0.0, SimilarityType.TYPE_II))
+        field = unified_system(unified_coefficients(PMEParams(m_s, n, 0.0, SimilarityType.TYPE_II)))
         for phi in np.linspace(-2.0, 2.0, 100):
             psi = yamabe_curve(n, float(phi))
-            dpsi, dphi = unified_rhs((psi, float(phi)), coeffs)
+            dpsi, dphi = field((psi, float(phi)))
             # the curve has dPsi/dPhi = -n*phi/2; tangency kills this combination
             agg.add(dpsi + n * phi / 2.0 * dphi)
     return agg.result("yamabe_slope_field")

@@ -284,7 +284,7 @@ class TestExplicitFalseSuccess:
 
 
 class TestImportBudget:
-    """SciPy is imported only by the code paths that call ``quad``."""
+    """No command loads SciPy; ``map`` and ``coeffs`` do not load numpy either."""
 
     @staticmethod
     def _run_in_fresh_process(argv=None):
@@ -295,7 +295,7 @@ class TestImportBudget:
             f"argv = {argv!r}\n"
             "rc = None if argv is None else ssflow.cli.main(argv)\n"
             "print()\n"
-            "print(json.dumps({'rc': rc, 'scipy': 'scipy' in sys.modules}))\n"
+            "print(json.dumps({'rc': rc, 'numpy': 'numpy' in sys.modules, 'scipy': 'scipy' in sys.modules}))\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
@@ -304,8 +304,9 @@ class TestImportBudget:
         assert res.returncode == 0, res.stderr
         return json.loads(res.stdout.splitlines()[-1]), res
 
-    def test_package_import_leaves_scipy_unloaded(self):
+    def test_package_import_leaves_numpy_and_scipy_unloaded(self):
         probe, _ = self._run_in_fresh_process()
+        assert probe["numpy"] is False
         assert probe["scipy"] is False
 
     @pytest.mark.parametrize(
@@ -314,25 +315,38 @@ class TestImportBudget:
             ["coeffs", "--eq", "pme", "--m", "2", "--n", "1", "--beta", "0.25"],
             ["map", "--eq", "pme", "--m", "0.25", "--n", "3", "--beta", "1"],
             ["map", "--eq", "ple", "--p", "1.25", "--n", "5", "--beta", "-0.2"],
+        ],
+        ids=["coeffs", "map-pme", "map-ple"],
+    )
+    def test_scalar_commands_leave_numpy_unloaded(self, argv):
+        probe, _ = self._run_in_fresh_process(argv)
+        assert probe["rc"] == 0
+        assert probe["numpy"] is False
+        assert probe["scipy"] is False
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["integrate", "--preset", "barenblatt-line"],
             ["profile", "--preset", "yamabe-vertex"],
             ["explicit", "--kind", "barenblatt-pme", "--m", "2", "--n", "1"],
+            ["verify"],
         ],
-        ids=["coeffs", "map-pme", "map-ple", "integrate", "profile", "explicit-barenblatt"],
+        ids=["integrate", "profile", "explicit-barenblatt", "verify"],
     )
-    def test_quad_free_commands_leave_scipy_unloaded(self, argv):
+    def test_numpy_commands_leave_scipy_unloaded(self, argv):
         probe, _ = self._run_in_fresh_process(argv)
         assert probe["rc"] == 0
         assert probe["scipy"] is False
 
-    def test_dipole_derivative_profile_loads_scipy_lazily(self):
+    def test_dipole_derivative_profile_leaves_scipy_unloaded(self):
         probe, res = self._run_in_fresh_process(
             ["explicit", "--kind", "dipole-derivative-ple", "--p", "3", "--n", "1"])
         assert probe["rc"] == 0
         footer = json.loads(res.stderr)
         assert footer["status"] == "ok"
         assert footer["checks"][0]["pass"] is True
-        assert probe["scipy"] is True
+        assert probe["scipy"] is False
 
 
 class TestExponentMinusOneContract:

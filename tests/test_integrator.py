@@ -281,6 +281,35 @@ class TestRhsContract:
             integrate(rhs, (0.0, 0.0), (0.0, 1.0))
         assert calls == 1
 
+    @pytest.mark.parametrize(
+        "value", [(1.0, 0.0, 5.0), (1.0,), 5.0, None], ids=["triple", "single", "scalar", "none"]
+    )
+    def test_not_a_pair_at_a_later_stage_refused(self, value):
+        # a pair at y0, something else once the state has moved
+        with pytest.raises(DomainError, match="pair"):
+            integrate(lambda y: (1.0, 0.0) if y[0] < 0.5 else value, (0.0, 0.0), (0.0, 1.0))
+
+    def test_not_a_pair_at_the_event_row_refused(self):
+        settings = IntegrationSettings(stop_events=(StopEvent(0, 0.5, +1),))
+        calls = 0
+
+        def flow(y):
+            nonlocal calls
+            calls += 1
+            return (1.0, 0.0)
+
+        assert integrate(flow, (0.0, 0.0), (0.0, 1.0), settings).status == "event"
+        event_row, calls = calls, 0  # the event row is the last rhs call
+
+        def triple_at_event_row(y):
+            nonlocal calls
+            calls += 1
+            return (1.0, 0.0, 5.0) if calls == event_row else (1.0, 0.0)
+
+        with pytest.raises(DomainError, match="pair"):
+            integrate(triple_at_event_row, (0.0, 0.0), (0.0, 1.0), settings)
+        assert calls == event_row
+
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize(

@@ -8,10 +8,8 @@ from ssflow import (
     DomainError,
     PLEParams,
     PMEParams,
-    Regime,
     SimilarityType,
     alpha_from,
-    classify_regime,
     critical_exponents,
     unified_coefficients,
 )
@@ -177,19 +175,3 @@ class TestUnifiedCoefficients:
         c = unified_coefficients(PMEParams(2.0, 1.0, 0.25, T3))
         assert c.psi_coeff == 0
 
-
-class TestClassifyRegime:
-    def test_yamabe(self):
-        assert classify_regime(PMEParams(0.2, 3.0, 0.0)) is Regime.YAMABE
-
-    def test_critical(self):
-        assert classify_regime(PMEParams(1.0 / 3.0, 3.0, 0.0)) is Regime.CRITICAL_B_ZERO
-
-    def test_dimension_two(self):
-        assert classify_regime(PLEParams(1.7, 2.0, 0.0)) is Regime.DIMENSION_TWO
-
-    def test_near_linear(self):
-        assert classify_regime(PMEParams(1.0 + 1e-10, 3.0, 0.0)) is Regime.NEAR_LINEAR
-
-    def test_generic(self):
-        assert classify_regime(PMEParams(2.0, 3.0, 0.0)) is Regime.GENERIC

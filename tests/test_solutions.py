@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -9,6 +10,7 @@ from ssflow import (
     CriticalError,
     DegenerateError,
     DomainError,
+    IntegrationFailure,
     OutsideSupportError,
     PLEParams,
     PMEParams,
@@ -173,9 +175,50 @@ class TestDipoleDerivativePLE:
         prof = dipole_derivative_ple(3.0, 1.0, 1.0)
         assert max_residual(prof) < 1e-8
 
+    @staticmethod
+    def _f_reference(prof, eta):
+        """-(integral of f' over [eta, edge]) by 50-digit mpmath.quad.
+
+        With d = edge - t, L - k t^E = -L expm1(E log1p(-d/edge)) keeps its
+        digits near the edge, and d = v^(1/(e+1)) removes the d^e endpoint
+        singularity, so the quadrature sees a smooth integrand in v.
+        """
+        p, n = prof.params.p, prof.params.n
+        with mpmath.workdps(50):
+            L, b, E = (mpmath.mpf(prof.constants[key]) for key in ("c", "b", "E"))
+            q, e = -(mpmath.mpf(n) - 1) / (mpmath.mpf(p) - 1), 1 / (mpmath.mpf(p) - 2)
+            edge = (L * (mpmath.mpf(p) - 1) * b) ** (1 / E)
+
+            def integrand(v):
+                d = v ** (1 / (e + 1))
+                w_over_d = -L * mpmath.expm1(E * mpmath.log1p(-d / edge)) / d
+                return (edge - d) ** q * w_over_d ** e / (e + 1)
+
+            return -mpmath.quad(integrand, [0, (edge - mpmath.mpf(eta)) ** (e + 1)])
+
+    # p < 1 (e < -1/2, singular f' at the edge; a = (q+1)/E = -5/2 at (0.3, 0.2)),
+    # 2 < p < 3 (e > 1; e = 50 moves the split to s = 1/50), a = 0 at p = n = 3, where
+    # the series takes its log term, and a = -1 + 3e-16 at (2.25, 6), where a + 1 is tiny
+    @pytest.mark.parametrize(
+        "p,n",
+        [(0.5, 1.0), (0.5, 3.0), (0.3, 0.2), (2.02, 1.0), (2.2, 1.0), (2.25, 6.0), (3.0, 1.0), (3.0, 3.0),
+         (4.0, 3.0), (6.0, 5.0)],
+    )
+    def test_f_matches_50_digit_quadrature(self, p, n):
+        prof = dipole_derivative_ple(p, n, 1.0)
+        for fraction in (0.001, 0.3, 0.7, 0.99):
+            eta = fraction * prof.support[1]
+            ref = self._f_reference(prof, eta)
+            assert abs((prof.f(eta) - ref) / ref) <= 1e-10, (p, n, fraction)
+
     def test_critical_refused(self):
         with pytest.raises(CriticalError):
             dipole_derivative_ple(1.5, 3.0, 1.0)  # p_c(3) = 3/2
+
+    def test_series_too_long_refused(self):
+        # e = 1/(p-2) = 2000: the series would need more terms than its budget
+        with pytest.raises(DegenerateError, match="series"):
+            dipole_derivative_ple(2.0005, 1.0, 1.0)
 
     @pytest.mark.parametrize("p", [0.0, 1.0, 2.0])
     def test_degenerate_exponent_refused(self, p):
@@ -329,6 +372,37 @@ class TestMassConservation:
         m1 = mass_integral(prof, prof.params, t=1.0)
         m2 = mass_integral(prof, prof.params, t=2.0)
         assert abs(m1 - m2) / abs(m1) < 1e-6
+
+    # (profile, the same f in mpmath, t, T): compact and unbounded supports, Type I and II
+    @pytest.mark.parametrize(
+        "prof,f,t,T",
+        [
+            (barenblatt_pme(2.0, 1.0, 1.0), lambda eta: 1 - eta ** 2 / 6, 1.0, None),
+            (barenblatt_pme(2.0, 1.0, 1.0), lambda eta: 1 - eta ** 2 / 6, 2.0, None),
+            (barenblatt_pme(0.5, 3.0, 2.0), lambda eta: (2 + eta ** 2 / 2) ** -2, 1.5, None),
+            (loewner_nirenberg_pme(3.0, 1.3),
+             lambda eta: (mpmath.mpf(1.3) + eta ** 2 / (12 * mpmath.mpf(1.3))) ** -2.5, 0.5, 1.0),
+        ],
+        ids=["barenblatt-t1", "barenblatt-t2", "fast-diffusion", "loewner-nirenberg"],
+    )
+    def test_mass_matches_50_digit_quadrature(self, prof, f, t, T):
+        params = prof.params
+        with mpmath.workdps(50):
+            alpha, beta, n = (mpmath.mpf(x) for x in (alpha_from(params), params.beta, params.n))
+            if T is None:  # Type I: u = t^-alpha f(r t^-beta)
+                amp, stretch = mpmath.mpf(t) ** -alpha, mpmath.mpf(t) ** beta
+            else:  # Type II: u = (T-t)^alpha f(r (T-t)^beta)
+                amp, stretch = (mpmath.mpf(T) - t) ** alpha, (mpmath.mpf(T) - t) ** -beta
+            hi = prof.support[1] * stretch if math.isfinite(prof.support[1]) else mpmath.inf
+            omega = 2 * mpmath.pi ** (n / 2) / mpmath.gamma(n / 2)
+            ref = omega * mpmath.quad(lambda r: amp * f(r / stretch) * r ** (n - 1), [0, stretch, hi])
+        assert abs(mass_integral(prof, params, t, T) - ref) <= 1e-9 * abs(ref)
+
+    def test_infinite_mass_refused(self):
+        # m < m_c(3) = 1/3: f ~ eta^-5/2 leaves u r^2 ~ r^-1/2, whose integral diverges
+        prof = barenblatt_pme(0.2, 3.0, 1.0)
+        with pytest.raises(IntegrationFailure, match="decay"):
+            mass_integral(prof, prof.params, t=1.0)
 
     def test_mass_value_against_closed_form(self):
         # integral of 2*(1 - x^2/6) over [0, sqrt(6)] doubled: 2 * (sqrt6 - 6^{1.5}/18) = 4*sqrt(6)/3
