@@ -1,9 +1,10 @@
 """Self-similar phase-plane toolkit for porous-medium and p-Laplacian flows.
 
 ``params``, ``equivalence`` and ``errors`` are scalar algebra and load with the
-package.  The numpy-backed modules (``integrator``, ``phase_plane``,
-``solutions``) and their names load on first access (PEP 562), so a process
-that only maps parameters or computes coefficients never imports numpy.
+package.  ``integrator``, ``phase_plane`` and ``solutions`` and their names
+load on first access (PEP 562).  The first two are numpy-backed; ``solutions``
+runs on Python floats.  So a process that only maps parameters, computes
+coefficients or samples a closed-form profile never imports numpy.
 """
 
 from importlib import import_module as _import_module

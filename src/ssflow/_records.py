@@ -1,0 +1,63 @@
+"""Value records shared by the scalar and the numpy-backed modules.
+
+A radial profile sample, and the pass/fail record of one named check with
+the worst-deviation rule that builds it.  Nothing here loads numpy, so
+``explicit`` can sample a closed form and judge its residual on Python
+floats alone.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from .errors import DomainError
+
+
+def _check_eta(eta):
+    if not 0.0 < eta < math.inf:  # refuses NaN
+        raise DomainError(f"eta must be positive and finite, got {eta}")
+
+
+@dataclass(frozen=True)
+class ProfileSample:
+    """One radial sample (eta, f(eta), f'(eta)) with 0 < eta < inf."""
+
+    eta: float
+    f: float
+    fprime: float
+
+    def __post_init__(self):
+        _check_eta(self.eta)
+
+
+@dataclass
+class CheckResult:
+    name: str
+    passed: bool
+    max_dev: float
+    tol: float
+
+    def as_dict(self) -> dict:
+        return {"name": self.name, "pass": self.passed, "max_dev": self.max_dev, "tol": self.tol}
+
+
+@dataclass
+class _Agg:
+    """Running worst-deviation aggregator for one named check."""
+
+    tol: float
+    max_dev: float = 0.0
+    failures: int = 0
+    samples: int = 0
+
+    def add(self, dev: float) -> None:
+        self.samples += 1
+        dev = abs(dev)
+        if math.isnan(dev) or dev > self.max_dev:  # a NaN stays the reported worst
+            self.max_dev = dev
+        if not dev <= self.tol:  # NaN compares false, so it fails
+            self.failures += 1
+
+    def result(self, name: str) -> CheckResult:
+        return CheckResult(name, self.failures == 0 and self.samples > 0, self.max_dev, self.tol)

@@ -35,7 +35,8 @@ from .params import (
 )
 
 # numpy loads only with the modules that need it, imported inside the commands
-# that use them: `map` and `coeffs` run on the scalar modules above.
+# that use them: `map` and `coeffs` run on the scalar modules above, and
+# `explicit` on them and `solutions`.
 
 _EXIT_CODES = {"ok": 0, "error": 1, "fail": 2}
 
@@ -242,7 +243,7 @@ _EXPLICIT_BUILDERS = {
 
 def cmd_explicit(args) -> int:
     from . import solutions
-    from .verify import _Agg
+    from ._records import _Agg
 
     name, exponent_flag, const_flag = _EXPLICIT_BUILDERS[args.kind]
     builder = getattr(solutions, name)

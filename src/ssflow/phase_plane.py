@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._records import ProfileSample, _check_eta
 from .errors import (
     AnchorMismatchError,
     CriticalError,
@@ -85,23 +86,6 @@ class NativeStatePLE:
         p = params.p
         z = y * _sign_f(x) / abs(x) ** ((p - 1.0) / (p - 2.0))
         return cls(x, z, y)
-
-
-def _check_eta(eta):
-    if not 0.0 < eta < math.inf:  # refuses NaN
-        raise DomainError(f"eta must be positive and finite, got {eta}")
-
-
-@dataclass(frozen=True)
-class ProfileSample:
-    """One radial sample (eta, f(eta), f'(eta)) with 0 < eta < inf."""
-
-    eta: float
-    f: float
-    fprime: float
-
-    def __post_init__(self):
-        _check_eta(self.eta)
 
 
 @dataclass(frozen=True)

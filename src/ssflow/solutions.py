@@ -20,6 +20,10 @@ incomplete Beta integral, summed as two binomial series (``_beta_tail``).
 ``mass_integral`` stays a numerical oracle: a double-exponential rule
 (tanh-sinh, or exp-sinh on an infinite support; Takahasi & Mori 1974), so
 the mass-conservation check does not hold by construction.
+
+Everything runs on Python floats and ``math``, without numpy: the C
+library's log10, pow, exp, sinh and cosh give the same points and sums
+whichever SIMD loops numpy would pick on the CPU at hand.
 """
 
 from __future__ import annotations
@@ -30,8 +34,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable, Optional
 
-import numpy as np
-
+from ._records import ProfileSample
 from .errors import (
     CriticalError,
     DegenerateError,
@@ -49,7 +52,6 @@ from .params import (
     alpha_from,
     critical_exponents,
 )
-from .phase_plane import ProfileSample
 
 
 class ProfileKind(Enum):
@@ -82,8 +84,8 @@ class ClosedFormProfile:
     fsecond: Callable[[float], float] = None
     support: tuple[float, float] = (0.0, math.inf)
 
-    def interior_points(self, count: int = 50) -> np.ndarray:
-        """Log-spaced points strictly inside the support.
+    def interior_points(self, count: int = 50) -> list[float]:
+        """Log-spaced points strictly inside the support, ``_geomspace`` between two margins.
 
         The margins keep clear of both the free boundary and the origin,
         where profiles singular like eta^q (q < 0) make the residual an
@@ -98,10 +100,25 @@ class ClosedFormProfile:
         else:
             lo_eff = lo * (1.0 + 1e-3) if lo > 0.0 else hi * 1e-2
             hi_eff = hi * (1.0 - 1e-6)
-        return np.geomspace(lo_eff, hi_eff, count)
+        return _geomspace(lo_eff, hi_eff, count)
 
     def sample(self, etas) -> list[ProfileSample]:
         return [ProfileSample(float(e), self.f(float(e)), self.fprime(float(e))) for e in etas]
+
+
+def _geomspace(lo: float, hi: float, count: int) -> list[float]:
+    """``count`` log-spaced floats from lo to hi (both > 0), the two ends exact.
+
+    The order of operations is numpy.geomspace's: a, b = log10(lo), log10(hi),
+    step = (b - a) / (count - 1), then 10 ** (i step + a).  The C library's
+    log10 and pow stand in for numpy's loops, whose results change with the
+    SIMD extensions of the CPU.
+    """
+    if count == 1:
+        return [lo]
+    a, b = math.log10(lo), math.log10(hi)
+    step = (b - a) / (count - 1)
+    return [lo, *(10.0 ** (i * step + a) for i in range(1, count - 1)), hi]
 
 
 @lru_cache(maxsize=256)
@@ -443,8 +460,13 @@ def max_residual(profile: ClosedFormProfile, count: int = 50) -> float:
         res = ple_residual
     else:
         raise TypeError("profile does not carry usable parameters")
-    etas = profile.interior_points(count)
-    return float(np.max([abs(res(profile, params, float(eta))) for eta in etas]))
+    worst = 0.0
+    for eta in profile.interior_points(count):
+        dev = abs(res(profile, params, eta))
+        if math.isnan(dev):
+            return dev
+        worst = max(worst, dev)
+    return worst
 
 
 def selfsimilar_value(params, profile, x_radius: float, t: float, T: Optional[float] = None) -> float:
@@ -481,8 +503,8 @@ _DE_TOL = 1e-10
 
 
 @lru_cache(maxsize=2 * _DE_LEVELS)
-def _de_level(level: int, infinite: bool):
-    """The nodes of one level on a unit scale, as read-only (left, offset, weight) arrays.
+def _de_level(level: int, infinite: bool) -> tuple[tuple[bool, float, float], ...]:
+    """The nodes of one level on a unit scale, as (left, offset, weight) in increasing t.
 
     Level 0 has t = -_DE_SPAN, ..., _DE_SPAN in steps of 1; level k adds the
     odd multiples of h = 2^-k.  With u = pi/2 sinh t, exp-sinh puts a node at
@@ -492,19 +514,21 @@ def _de_level(level: int, infinite: bool):
     nearer end.  ``weight`` is dx/dt per unit of scale or width.
     """
     h = 2.0 ** -level
-    t = np.arange(-_DE_SPAN, _DE_SPAN + h / 2, h) if level == 0 else np.arange(-_DE_SPAN + h, _DE_SPAN, 2.0 * h)
-    u = 0.5 * math.pi * np.sinh(t)
-    dudt = 0.5 * math.pi * np.cosh(t)
-    left = t < 0.0
-    if infinite:
-        offset = np.exp(u)
-        weight = dudt * offset
-    else:
-        offset = 1.0 / (1.0 + np.exp(2.0 * np.abs(u)))
-        weight = 0.5 * dudt / np.cosh(u) ** 2
-    for array in (left, offset, weight):
-        array.setflags(write=False)  # shared by every call through the cache
-    return left, offset, weight
+    first, stride = (0, 1) if level == 0 else (1, 2)
+    nodes = []
+    for j in range(first, round(2.0 * _DE_SPAN / h) + 1, stride):
+        t = j * h - _DE_SPAN  # exact: a multiple of h no larger than _DE_SPAN
+        u = 0.5 * math.pi * math.sinh(t)
+        dudt = 0.5 * math.pi * math.cosh(t)
+        if infinite:
+            offset = math.exp(u)
+            weight = dudt * offset
+        else:
+            offset = 1.0 / (1.0 + math.exp(2.0 * abs(u)))
+            cosh_u = math.cosh(u)
+            weight = 0.5 * dudt / (cosh_u * cosh_u)
+        nodes.append((t < 0.0, offset, weight))
+    return tuple(nodes)
 
 
 def _double_exponential(g, lo: float, hi: float, scale: float) -> float:
@@ -513,24 +537,26 @@ def _double_exponential(g, lo: float, hi: float, scale: float) -> float:
     On a finite interval, tanh-sinh: x = lo + (hi - lo) / (1 + exp(-pi sinh t)).
     On [lo, inf), exp-sinh: x = lo + scale exp(pi/2 sinh t).  The step h
     halves, and each level adds only the new odd nodes, until two successive
-    sums agree to _DE_TOL.  The distance to the nearer end is formed
-    directly, and a node that rounds onto an end is dropped, so g is never
-    called at lo or hi.  Raises IntegrationFailure if the outermost terms are
-    not negligible (a divergent or slowly decaying integral) or the sums do
-    not settle.
+    sums agree to _DE_TOL.  Each level's terms are summed one by one in
+    increasing t.  The distance to the nearer end is formed directly, and a
+    node that rounds onto an end is dropped, so g is never called at lo or
+    hi.  Raises IntegrationFailure if the outermost terms are not negligible
+    (a divergent or slowly decaying integral) or the sums do not settle.
     """
     infinite = math.isinf(hi)
     width = scale if infinite else hi - lo
     total = 0.0
     for level in range(_DE_LEVELS):
-        left, offset, weight = _de_level(level, infinite)
-        gap = width * offset
-        x = lo + gap if infinite else np.where(left, lo + gap, hi - gap)
-        inside = (lo < x) & (x < hi)
-        weights, values = width * weight[inside], [g(xi) for xi in x[inside].tolist()]
-        part = 2.0 ** -level * float(np.dot(weights, values))
+        part, terms = 0.0, []
+        for left, offset, weight in _de_level(level, infinite):
+            gap = width * offset
+            x = lo + gap if infinite or left else hi - gap
+            if lo < x < hi:
+                terms.append(width * weight * g(x))
+                part += terms[-1]
+        part *= 2.0 ** -level
         # the rule ends at |t| = _DE_SPAN, so the outermost terms bound what it leaves out
-        if level == 0 and not abs(weights[0] * values[0]) + abs(weights[-1] * values[-1]) <= _DE_TOL * abs(part):
+        if level == 0 and not abs(terms[0]) + abs(terms[-1]) <= _DE_TOL * abs(part):
             raise IntegrationFailure(f"the integrand does not decay toward the ends of ({lo}, {hi})")
         previous, total = total, 0.5 * total + part if level else part
         if level and abs(total - previous) <= _DE_TOL * abs(total):

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import solutions
+from ._records import CheckResult, _Agg
 from .equivalence import (
     Branch,
     coefficient_deviation,
@@ -52,38 +53,6 @@ CONJUGACY_POINTS_PLE = {
     (3.0, 1.0, 1.0 / 3.0): ((0.1, 0.5), (0.2, 0.3), (0.05, 1.0), (0.3, -0.2), (0.15, 0.8)),
     (1.25, 2.5, 0.4): ((0.5, -0.5), (0.3, -0.2), (0.2, 0.1), (0.4, -0.8), (0.6, -0.3)),
 }
-
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    max_dev: float
-    tol: float
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "pass": self.passed, "max_dev": self.max_dev, "tol": self.tol}
-
-
-@dataclass
-class _Agg:
-    """Running worst-deviation aggregator for one named check."""
-
-    tol: float
-    max_dev: float = 0.0
-    failures: int = 0
-    samples: int = 0
-
-    def add(self, dev: float) -> None:
-        self.samples += 1
-        dev = abs(dev)
-        if math.isnan(dev) or dev > self.max_dev:  # a NaN stays the reported worst
-            self.max_dev = dev
-        if not dev <= self.tol:  # NaN compares false, so it fails
-            self.failures += 1
-
-    def result(self, name: str) -> CheckResult:
-        return CheckResult(name, self.failures == 0 and self.samples > 0, self.max_dev, self.tol)
 
 
 @dataclass
@@ -256,8 +225,8 @@ def check_yamabe_profiles(tol: float = 1e-6) -> CheckResult:
     agg = _Agg(tol)
     for n in (3.0, 4.0, 5.0):
         for prof in (solutions.loewner_nirenberg_pme(n, 1.0), solutions.yamabe_ple(n, 1.0)):
-            for eta in np.geomspace(0.1, 10.0, 40):
-                smp = prof.sample([float(eta)])[0]
+            for eta in solutions._geomspace(0.1, 10.0, 40):
+                smp = prof.sample([eta])[0]
                 state = profile_to_state(smp, prof.params)
                 agg.add(state.psi - yamabe_curve(n, state.phi))
     return agg.result("yamabe_profiles_on_curve")

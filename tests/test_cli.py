@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -273,6 +274,24 @@ class TestExplicitFalseSuccess:
         assert footer["checks"][0]["pass"] is False
         assert footer["status"] == "fail"
 
+    def test_nan_residual_exits_two(self, monkeypatch, capsys):
+        from ssflow import cli, solutions
+
+        build = solutions.barenblatt_pme
+
+        def nan_at_third_point(*args):
+            profile = build(*args)
+            bad = profile.interior_points(5)[2]
+            return dataclasses.replace(profile, f=lambda eta: math.nan if eta == bad else profile.f(eta))
+
+        monkeypatch.setattr(solutions, "barenblatt_pme", nan_at_third_point)
+        rc = cli.main(["explicit", "--kind", "barenblatt-pme", "--m", "2", "--n", "1", "--points", "5"])
+        footer = json.loads(capsys.readouterr().err)
+        assert rc == 2
+        assert footer["status"] == "fail"
+        assert footer["checks"][0]["pass"] is False
+        assert math.isnan(footer["checks"][0]["max_dev"])
+
     def test_overflow_is_a_json_error(self):
         res = run_cli("explicit", "--kind", "barenblatt-pme", "--m", "1.001", "--n", "1",
                       "--C", "1e10")
@@ -284,14 +303,14 @@ class TestExplicitFalseSuccess:
 
 
 class TestImportBudget:
-    """No command loads SciPy; ``map`` and ``coeffs`` do not load numpy either."""
+    """No command loads SciPy; ``map``, ``coeffs`` and ``explicit`` do not load numpy either."""
 
     @staticmethod
-    def _run_in_fresh_process(argv=None):
+    def _run_in_fresh_process(argv=None, modules="ssflow, ssflow.cli"):
         # main() prints CSV/JSON to stdout, so the probe result goes on the last line
         code = (
             "import json, sys\n"
-            "import ssflow, ssflow.cli\n"
+            f"import {modules}\n"
             f"argv = {argv!r}\n"
             "rc = None if argv is None else ssflow.cli.main(argv)\n"
             "print()\n"
@@ -315,8 +334,16 @@ class TestImportBudget:
             ["coeffs", "--eq", "pme", "--m", "2", "--n", "1", "--beta", "0.25"],
             ["map", "--eq", "pme", "--m", "0.25", "--n", "3", "--beta", "1"],
             ["map", "--eq", "ple", "--p", "1.25", "--n", "5", "--beta", "-0.2"],
+            ["explicit", "--kind", "barenblatt-pme", "--m", "2", "--n", "1"],
+            ["explicit", "--kind", "barenblatt-ple", "--p", "3", "--n", "1"],
+            ["explicit", "--kind", "dipole-pme", "--m", "2", "--n", "1"],
+            ["explicit", "--kind", "dipole-derivative-ple", "--p", "3", "--n", "1"],
+            ["explicit", "--kind", "loewner-nirenberg-pme", "--n", "3"],
+            ["explicit", "--kind", "yamabe-ple", "--n", "4"],
         ],
-        ids=["coeffs", "map-pme", "map-ple"],
+        ids=["coeffs", "map-pme", "map-ple", "explicit-barenblatt", "explicit-barenblatt-ple",
+             "explicit-dipole", "explicit-dipole-derivative", "explicit-loewner-nirenberg",
+             "explicit-yamabe"],
     )
     def test_scalar_commands_leave_numpy_unloaded(self, argv):
         probe, _ = self._run_in_fresh_process(argv)
@@ -329,10 +356,9 @@ class TestImportBudget:
         [
             ["integrate", "--preset", "barenblatt-line"],
             ["profile", "--preset", "yamabe-vertex"],
-            ["explicit", "--kind", "barenblatt-pme", "--m", "2", "--n", "1"],
             ["verify"],
         ],
-        ids=["integrate", "profile", "explicit-barenblatt", "verify"],
+        ids=["integrate", "profile", "verify"],
     )
     def test_numpy_commands_leave_scipy_unloaded(self, argv):
         probe, _ = self._run_in_fresh_process(argv)
@@ -347,6 +373,45 @@ class TestImportBudget:
         assert footer["status"] == "ok"
         assert footer["checks"][0]["pass"] is True
         assert probe["scipy"] is False
+
+    def test_solutions_module_leaves_numpy_unloaded(self):
+        probe, _ = self._run_in_fresh_process(modules="ssflow.solutions")
+        assert probe["numpy"] is False
+
+
+# numpy ignores feature names it does not know, so this pins its AVX2 loops on any x86 host
+_AVX2_DISPATCH = {"NPY_DISABLE_CPU_FEATURES": "AVX512_ICL AVX512_SPR X86_V4"}
+
+
+class TestSimdDispatchIndependence:
+    """Output bytes do not depend on which SIMD loops numpy dispatches to."""
+
+    def test_verify(self):
+        default, avx2 = run_cli("verify"), run_cli("verify", env=_AVX2_DISPATCH)
+        assert default.returncode == avx2.returncode == 0
+        assert default.stdout == avx2.stdout
+
+    # one case per kind; each differed between the two dispatches while numpy spaced the points
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--kind", "barenblatt-pme", "--m", "2", "--n", "4", "--points", "50"],
+            ["--kind", "barenblatt-ple", "--p", "4", "--n", "4", "--points", "50"],
+            ["--kind", "dipole-pme", "--m", "2", "--n", "3", "--points", "30"],
+            ["--kind", "dipole-derivative-ple", "--p", "4", "--n", "1", "--points", "80"],
+            ["--kind", "loewner-nirenberg-pme", "--n", "3", "--points", "50"],
+            ["--kind", "yamabe-ple", "--n", "4", "--points", "80"],
+        ],
+        ids=lambda argv: argv[1],
+    )
+    def test_explicit(self, tmp_path, argv):
+        outputs = []
+        for tag, env in (("default", None), ("avx2", _AVX2_DISPATCH)):
+            out = tmp_path / f"{tag}.csv"
+            res = run_cli("explicit", *argv, "--out", str(out), env=env)
+            assert res.returncode == 0, res.stderr
+            outputs.append((out.read_bytes(), (tmp_path / f"{tag}.csv.footer.json").read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestExponentMinusOneContract:

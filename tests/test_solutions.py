@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -335,6 +336,57 @@ class TestResiduals:
         prof = barenblatt_pme(2.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             pme_residual(prof, prof.params, 0.0)
+
+
+class TestMaxResidual:
+    @pytest.mark.parametrize("index", [0, 2, 4])
+    def test_one_nan_residual_gives_nan(self, index):
+        prof = barenblatt_pme(2.0, 1.0, 1.0)
+        bad = prof.interior_points(5)[index]
+        broken = dataclasses.replace(prof, fprime=lambda eta: math.nan if eta == bad else prof.fprime(eta))
+        assert math.isnan(max_residual(broken, count=5))
+
+    def test_worst_of_the_interior_residuals(self):
+        prof = dipole_pme(2.0, 1.0, 1.0)
+        etas = prof.interior_points(7)
+        worst = max(abs(pme_residual(prof, prof.params, eta)) for eta in etas)
+        assert max_residual(prof, count=7) == worst
+
+
+# (profile, lo_eff, hi_eff): the ends interior_points sets exactly on each kind of support
+_SQRT6 = math.sqrt(6.0)
+_RIGHT_EDGE = dipole_pme(0.2, 5.0, 1.0).support[0]  # c > 0 and E < 0: support (edge, inf)
+
+
+class TestInteriorPoints:
+    @pytest.mark.parametrize(
+        "prof,lo,hi",
+        [
+            (barenblatt_pme(2.0, 1.0, 1.0), _SQRT6 * 1e-2, _SQRT6 * (1.0 - 1e-6)),
+            (loewner_nirenberg_pme(3.0, 1.0), 1e-2, 1e2),
+            (dipole_pme(0.2, 5.0, 1.0), _RIGHT_EDGE * (1.0 + 1e-3), max(1e2, _RIGHT_EDGE * (1.0 + 1e-3) * 1e4)),
+        ],
+        ids=["compact", "global", "outside-an-edge"],
+    )
+    @pytest.mark.parametrize("count", [2, 3, 50, 80])
+    def test_log_spaced_python_floats_inside_the_support(self, prof, lo, hi, count):
+        pts = prof.interior_points(count)
+        assert isinstance(pts, list) and len(pts) == count
+        assert all(type(x) is float for x in pts)
+        assert pts[0] == lo and pts[-1] == hi
+        assert all(a < b for a, b in zip(pts, pts[1:]))
+        assert prof.support[0] < pts[0] and pts[-1] < prof.support[1]
+        ratios = [b / a for a, b in zip(pts, pts[1:])]
+        assert max(ratios) == pytest.approx(min(ratios), rel=1e-12)
+
+    def test_one_point_is_the_lower_end(self):
+        prof = barenblatt_pme(2.0, 1.0, 1.0)
+        assert prof.interior_points(1) == [_SQRT6 * 1e-2]
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_fewer_than_one_point_refused(self, count):
+        with pytest.raises(DomainError, match="count"):
+            barenblatt_pme(2.0, 1.0, 1.0).interior_points(count)
 
 
 class TestSelfSimilarValue:
