@@ -56,12 +56,9 @@ _LAZY = {
         "line_betas_ple",
         "line_betas_pme",
         "line_condition_value",
-        "ple_native_rhs_xy",
-        "ple_native_rhs_xz",
         "ple_native_system_xy",
         "ple_to_unified",
         "ple_trajectory_to_unified",
-        "pme_native_rhs",
         "pme_native_system",
         "pme_to_unified",
         "pme_trajectory_to_unified",
@@ -69,7 +66,6 @@ _LAZY = {
         "reconstruct_profile",
         "state_to_profile",
         "straight_line",
-        "unified_rhs",
         "unified_system",
         "unified_to_ple",
         "unified_to_pme",

@@ -1,11 +1,12 @@
 """Phase-plane systems, variable transforms, and trajectory-level constructions.
 
-Four autonomous systems live here: the native porous-medium plane
-(X, Y) = (eta f'/f, eta^2 f^(1-m)), the two native p-Laplacian planes
-(X, Z) and (X, Y), and the unified quadratic plane (Psi, Phi) that both
-equations share.  The transforms in and out of the unified plane are exact
-conjugacies once the independent variable is rescaled to r1 = sqrt|b| * r
-with r = log(eta).
+Three autonomous systems live here: the native porous-medium plane
+(X, Y) = (eta f'/f, eta^2 f^(1-m)), the native p-Laplacian plane
+(X, Y) = (-eta^2 |f'|^(1-p) f', -eta |f'|^(-p) f' f), and the unified
+quadratic plane (Psi, Phi) that both equations share.  Each has one
+right-hand side, its bound ``*_system`` factory, and every state is a pair.
+The transforms in and out of the unified plane are exact conjugacies once
+the independent variable is rescaled to r1 = sqrt|b| * r with r = log(eta).
 
 Also here: reconstruction of radial profiles from unified trajectories,
 the invariant straight lines of the Type I flow with sgn(b) = +1, the two
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,50 +44,25 @@ from .params import (
 )
 
 
-@dataclass(frozen=True)
-class PhaseState:
+class PhaseState(NamedTuple):
     """A point of the unified plane."""
 
     psi: float
     phi: float
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.psi, self.phi)
 
-
-@dataclass(frozen=True)
-class NativeStatePME:
+class NativeStatePME(NamedTuple):
     """Native porous-medium variables X = eta f'/f, Y = eta^2 f^(1-m)."""
 
     x: float
     y: float
 
 
-@dataclass(frozen=True)
-class NativeStatePLE:
-    """Native p-Laplacian variables.
-
-    X = -eta^2 |f'|^(1-p) f',  Z = eta^gamma f,  and the derived
-    Y = |X|^(1/(p-2)) X Z = -eta |f'|^(-p) f' f.
-    """
+class NativeStatePLE(NamedTuple):
+    """Native p-Laplacian variables X = -eta^2 |f'|^(1-p) f', Y = -eta |f'|^(-p) f' f."""
 
     x: float
-    z: float
     y: float
-
-    @classmethod
-    def from_xz(cls, x: float, z: float, params: PLEParams) -> "NativeStatePLE":
-        p = params.p
-        y = _signed_pow(x, 1.0 / (p - 2.0) + 1.0) * z if x != 0.0 else 0.0
-        return cls(x, z, y)
-
-    @classmethod
-    def from_xy(cls, x: float, y: float, params: PLEParams) -> "NativeStatePLE":
-        if x == 0.0:
-            raise SingularEvaluationError("Z is undefined at X = 0")
-        p = params.p
-        z = y * _sign_f(x) / abs(x) ** ((p - 1.0) / (p - 2.0))
-        return cls(x, z, y)
 
 
 @dataclass(frozen=True)
@@ -127,30 +104,10 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
-    def phase_states(self) -> list[PhaseState]:
-        return [PhaseState(float(s[0]), float(s[1])) for s in self.states]
-
 
 def _pair(state) -> tuple[float, float]:
-    if isinstance(state, PhaseState):
-        return state.psi, state.phi
-    if isinstance(state, NativeStatePME):
-        return state.x, state.y
     a, b = state
     return float(a), float(b)
-
-
-def _sign_f(x: float) -> float:
-    return 1.0 if x > 0.0 else (-1.0 if x < 0.0 else 0.0)
-
-
-def _signed_pow(x: float, e: float) -> float:
-    """sign(x) |x|^e, the odd extension of the power; 0 stays 0 for e > 0."""
-    if x == 0.0:
-        if e > 0.0:
-            return 0.0
-        raise SingularEvaluationError(f"|0| to the non-positive power {e}")
-    return _sign_f(x) * abs(x) ** e
 
 
 # ----------------------------------------------------------------------
@@ -160,7 +117,10 @@ def _signed_pow(x: float, e: float) -> float:
 
 
 def pme_native_system(params: PMEParams):
-    """Right-hand side for the integrator on native (X, Y); the constants are bound once."""
+    """Right-hand side for the integrator on native (X, Y); the constants are bound once.
+
+    dX = (2-n)X - mX^2 - (alpha + beta X)Y,  dY = (2 + (1-m)X)Y
+    """
     two_minus_n, m, one_minus_m, beta = 2.0 - params.n, params.m, 1.0 - params.m, params.beta
     alpha = alpha_from(params)
 
@@ -171,40 +131,12 @@ def pme_native_system(params: PMEParams):
     return rhs
 
 
-def pme_native_rhs(state, params: PMEParams) -> tuple[float, float]:
-    """dX = (2-n)X - mX^2 - (alpha + beta X)Y,  dY = (2 + (1-m)X)Y."""
-    return pme_native_system(params)(_pair(state))
-
-
-def ple_native_rhs_xz(state, params: PLEParams) -> tuple[float, float]:
-    """Native (X, Z) flow; not quadratic because of the fractional powers.
-
-    dX = ((2-p)/(p-1)) (-(n-gamma)X + alpha Z |X|^((3-2p)/(2-p)) - beta|X|X)
-    dZ = gamma Z - |X|^((p-1)/(2-p)) X
-
-    Policy at X = 0: |0|^0 := 1 when the first exponent vanishes (p = 3/2);
-    any |0| to a negative power raises.
-    """
-    x, z = _pair(state)
-    p, n, beta = params.p, params.n, params.beta
-    alpha = alpha_from(params)
-    gamma = params.gamma
-    e1 = (3.0 - 2.0 * p) / (2.0 - p)
-    if x == 0.0:
-        if e1 < 0.0:
-            raise SingularEvaluationError(f"|0|^{e1}: X = 0 is singular for this p")
-        pow1 = 1.0 if e1 == 0.0 else 0.0
-    else:
-        pow1 = abs(x) ** e1
-    # |X|^((p-1)/(2-p)) X folded to sign(X)|X|^(1/(2-p)); diverges at 0 for p > 2.
-    flux = _signed_pow(x, 1.0 / (2.0 - p))
-    dx = ((2.0 - p) / (p - 1.0)) * (-(n - gamma) * x + alpha * z * pow1 - beta * abs(x) * x)
-    dz = gamma * z - flux
-    return dx, dz
-
-
 def ple_native_system_xy(params: PLEParams):
-    """Right-hand side for the integrator on native p-Laplacian (X, Y); the constants are bound once."""
+    """Right-hand side for the integrator on native p-Laplacian (X, Y); the constants are bound once.
+
+    Quadratic, with the sign of X carried through |X|:
+    dX = ((2-p)/(p-1)) X (gamma - n + alpha Y - beta|X|),  dY = -alpha Y^2 + n Y + beta Y |X| - |X|
+    """
     p, n, beta = params.p, params.n, params.beta
     k, gamma_minus_n, alpha = (2.0 - p) / (p - 1.0), params.gamma - n, alpha_from(params)
 
@@ -216,17 +148,11 @@ def ple_native_system_xy(params: PLEParams):
     return rhs
 
 
-def ple_native_rhs_xy(state, params: PLEParams) -> tuple[float, float]:
-    """Quadratic native flow (X has a sign through |X|).
-
-    dX = ((2-p)/(p-1)) X (gamma - n + alpha Y - beta|X|)
-    dY = -alpha Y^2 + n Y + beta Y |X| - |X|
-    """
-    return ple_native_system_xy(params)(_pair(state))
-
-
 def unified_system(coeffs: UnifiedCoefficients):
-    """Right-hand side for the integrator: a (Psi, Phi) pair in, the (dPsi, dPhi) pair out."""
+    """Right-hand side for the integrator: a (Psi, Phi) pair in, the (dPsi, dPhi) pair out.
+
+    dPsi = Psi Phi,  dPhi = c1 Phi^2 - c2 Psi Phi - c3 Phi + e Psi + sgn(b)
+    """
     c1, c2, c3 = coeffs.c1, coeffs.c2, coeffs.c3
     e, k = float(coeffs.psi_coeff), float(coeffs.const_term)
 
@@ -235,11 +161,6 @@ def unified_system(coeffs: UnifiedCoefficients):
         return psi * phi, c1 * phi * phi - c2 * psi * phi - c3 * phi + e * psi + k
 
     return rhs
-
-
-def unified_rhs(state, coeffs: UnifiedCoefficients) -> tuple[float, float]:
-    """dPsi = Psi Phi,  dPhi = c1 Phi^2 - c2 Psi Phi - c3 Phi + e Psi + sgn(b)."""
-    return unified_system(coeffs)(_pair(state))
 
 
 # ----------------------------------------------------------------------
@@ -271,17 +192,15 @@ def _ple_forward(x, y, params: PLEParams, s, linear=False):
 
 
 def _ple_inverse(psi, phi, params: PLEParams, s):
-    """(X, Y) from (Psi, Phi); needs Psi > 0 and alpha != 0 to solve the Phi definition for Y."""
-    if psi <= 0.0:
-        raise OrientationError(f"the inverse embedding needs Psi > 0, got Psi = {psi}")
+    """(X, Y) from (Psi, Phi); needs X = Psi/a > 0 and alpha != 0 to solve the Phi definition for Y."""
     p = params.p
     alpha = alpha_from(params)
     a = 1.0 / (s * s * (p - 1.0))
     x = psi / a
+    if not x > 0.0:
+        raise OrientationError(f"the inverse embedding needs X = Psi/a > 0, got Psi = {psi} with a = {a}")
     if alpha == 0.0:
-        raise SingularEvaluationError(
-            "alpha = 0: Y cannot be recovered from Phi; use the native (X, Z) system"
-        )
+        raise SingularEvaluationError("alpha = 0: Y cannot be recovered from Phi")
     return x, (-phi * (p - 1.0) * s / (p - 2.0) - params.gamma + params.n + params.beta * x) / alpha
 
 
@@ -306,20 +225,16 @@ def ple_to_unified(state, params: PLEParams, coeffs: UnifiedCoefficients | None 
 
     Requires the orientation X > 0 (decreasing profiles).
     """
-    if isinstance(state, NativeStatePLE):
-        x, y = state.x, state.y
-    else:
-        x, y = _pair(state)
-    if x <= 0.0:
+    x, y = _pair(state)
+    if not x > 0.0:
         raise OrientationError(f"the unified embedding needs X > 0, got X = {x}")
     return PhaseState(*_ple_forward(x, y, params, _scale(params, coeffs)))
 
 
 def unified_to_ple(state, params: PLEParams, coeffs: UnifiedCoefficients | None = None) -> NativeStatePLE:
-    """Inverse transform; needs alpha != 0 to solve the Phi definition for Y."""
+    """Inverse transform; needs X > 0 and alpha != 0 to solve the Phi definition for Y."""
     psi, phi = _pair(state)
-    x, y = _ple_inverse(psi, phi, params, _scale(params, coeffs))
-    return NativeStatePLE.from_xy(x, y, params)
+    return NativeStatePLE(*_ple_inverse(psi, phi, params, _scale(params, coeffs)))
 
 
 def profile_to_state(sample: ProfileSample, params) -> PhaseState:
@@ -330,7 +245,7 @@ def profile_to_state(sample: ProfileSample, params) -> PhaseState:
             raise OutsideSupportError(f"porous-medium phase variables need f > 0, got f = {f}")
         x = eta * fp / f
         y = eta * eta * f ** (1.0 - params.m)
-        return pme_to_unified(NativeStatePME(x, y), params)
+        return pme_to_unified((x, y), params)
     if isinstance(params, PLEParams):
         if fp == 0.0:
             raise SingularEvaluationError("p-Laplacian phase variables need f' != 0")
@@ -345,8 +260,9 @@ def state_to_profile(state, eta: float, params, coeffs: UnifiedCoefficients | No
     """Inverse of ``profile_to_state``: the sample at radius ``eta`` carried by a unified state.
 
     The phase plane forgets the eta scale, so the caller supplies 0 < eta < inf
-    (checked first).  Raises OutsideSupportError (porous medium) or OrientationError
-    (p-Laplacian) when Psi is not positive, SingularEvaluationError at p-Laplacian alpha = 0.
+    (checked first).  Raises OutsideSupportError (porous medium) when Psi is not
+    positive, OrientationError (p-Laplacian) when X = Psi/a is not positive, and
+    SingularEvaluationError at p-Laplacian alpha = 0.
     """
     _check_eta(eta)
     psi, phi = _pair(state)
@@ -357,8 +273,9 @@ def state_to_profile(state, eta: float, params, coeffs: UnifiedCoefficients | No
         f = (y / (eta * eta)) ** (1.0 / (1.0 - params.m))
         return ProfileSample(float(eta), float(f), float(x * f / eta))
     x, y = _ple_inverse(psi, phi, params, _scale(params, coeffs))
-    z = NativeStatePLE.from_xy(x, y, params).z
-    fp = -((x / (eta * eta)) ** (1.0 / (2.0 - params.p)))
+    p = params.p
+    z = y / x ** ((p - 1.0) / (p - 2.0))  # Z = eta^gamma f; X > 0 here
+    fp = -((x / (eta * eta)) ** (1.0 / (2.0 - p)))
     return ProfileSample(float(eta), float(z * eta ** (-params.gamma)), float(fp))
 
 
@@ -401,34 +318,29 @@ def reconstruct_profile(traj: Trajectory, params, anchor: ProfileSample) -> list
     The phase plane forgets one multiplicative constant (the eta scale), so the
     caller pins it with ``anchor``, which must map onto the first trajectory
     state.  Radii follow eta_i = anchor.eta * exp((r1_i - r1_0)/sqrt|b|).
-    States whose Psi is not positive cannot carry a positive profile; the
-    output is truncated there with a TruncationWarning.
+    The output is truncated with a TruncationWarning at the first state that
+    cannot carry a profile, the first one ``state_to_profile`` refuses with
+    OutsideSupportError or OrientationError.
     """
     if len(traj) == 0:
         return []
     coeffs = unified_coefficients(params)
+    r1, states = traj.r1.tolist(), traj.states.tolist()
 
-    state0 = traj.states[0]
+    psi0, phi0 = states[0]
     mapped = profile_to_state(anchor, params)
-    dist = math.hypot(mapped.psi - state0[0], mapped.phi - state0[1])
-    if dist > 1e-8 * max(1.0, float(np.linalg.norm(state0))):
-        raise AnchorMismatchError(
-            f"anchor maps to ({mapped.psi}, {mapped.phi}), first state is ({state0[0]}, {state0[1]})"
-        )
+    dist = math.hypot(mapped.psi - psi0, mapped.phi - phi0)
+    if dist > 1e-8 * max(1.0, float(np.linalg.norm(traj.states[0]))):
+        raise AnchorMismatchError(f"anchor maps to ({mapped.psi}, {mapped.phi}), first state is ({psi0}, {phi0})")
 
-    etas = anchor.eta * np.exp((traj.r1 - traj.r1[0]) / coeffs.sqrt_abs_b)
-    stop = len(traj)
-    bad = np.flatnonzero(traj.states[:, 0] <= 0.0)
-    if len(bad):
-        stop = int(bad[0])
-        warnings.warn(
-            f"reconstruction truncated at eta = {etas[stop]}: Psi = {traj.states[stop, 0]} is not positive",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    samples = [
-        state_to_profile(st, float(eta), params, coeffs) for eta, st in zip(etas[:stop], traj.states[:stop])
-    ]
+    samples = []
+    for r, state in zip(r1, states):
+        eta = anchor.eta * math.exp((r - r1[0]) / coeffs.sqrt_abs_b)
+        try:
+            samples.append(state_to_profile(state, eta, params, coeffs))
+        except (OutsideSupportError, OrientationError) as exc:
+            warnings.warn(f"reconstruction truncated at eta = {eta}: {exc}", TruncationWarning, stacklevel=2)
+            break
     samples.sort(key=lambda smp: smp.eta)
     return samples
 

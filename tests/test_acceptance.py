@@ -46,7 +46,6 @@ from ssflow import (
     selfsimilar_value,
     straight_line,
     unified_coefficients,
-    unified_rhs,
     unified_system,
     yamabe_curve,
     yamabe_ple,
@@ -234,10 +233,10 @@ def test_criterion_7_yamabe_consistency():
     worst_field = 0.0
     for n in (3.0, 4.0, 5.0):
         m_s = critical_exponents(n).m_s
-        coeffs = unified_coefficients(PMEParams(m_s, n, 0.0, SimilarityType.TYPE_II))
+        rhs = unified_system(unified_coefficients(PMEParams(m_s, n, 0.0, SimilarityType.TYPE_II)))
         for phi in np.linspace(-2.0, 2.0, 100):
             psi = yamabe_curve(n, float(phi))
-            dpsi, dphi = unified_rhs((psi, float(phi)), coeffs)
+            dpsi, dphi = rhs((psi, float(phi)))
             worst_field = max(worst_field, abs(dpsi + n * phi / 2.0 * dphi))
     _report(7, "Yamabe curve: profile images and slope field",
             worst_profile < 1e-6 and worst_field < 1e-12,

@@ -147,6 +147,14 @@ class TestProfileCommand:
         data = json.loads(res.stdout)
         assert data["error"]["type"] == "DomainError"
 
+    def test_eta_overflow_is_a_json_error_without_warnings(self):
+        # r1/sqrt|b| passes 709 long before this orbit ends: eta leaves the float range
+        res = run_cli("profile", "--eq", "pme", "--m", "0.3333333333333333", "--n", "4", "--beta", "0",
+                      "--sim-type", "2", "--psi0", "2", "--phi0", "0", "--span", "0", "2000")
+        assert res.returncode == 1
+        assert res.stderr == ""
+        assert json.loads(res.stdout)["status"] == "error"
+
 
 class TestExplicitCommand:
     def test_barenblatt_with_footer(self, tmp_path):
@@ -386,8 +394,14 @@ _AVX2_DISPATCH = {"NPY_DISABLE_CPU_FEATURES": "AVX512_ICL AVX512_SPR X86_V4"}
 class TestSimdDispatchIndependence:
     """Output bytes do not depend on which SIMD loops numpy dispatches to."""
 
-    def test_verify(self):
-        default, avx2 = run_cli("verify"), run_cli("verify", env=_AVX2_DISPATCH)
+    # each profile differed in a few rows while numpy's exp built the eta grid of the reconstruction
+    @pytest.mark.parametrize(
+        "argv",
+        [("verify",), ("profile", "--preset", "barenblatt-line"), ("profile", "--preset", "yamabe-vertex")],
+        ids=["verify", "profile-barenblatt-line", "profile-yamabe-vertex"],
+    )
+    def test_stdout(self, argv):
+        default, avx2 = run_cli(*argv), run_cli(*argv, env=_AVX2_DISPATCH)
         assert default.returncode == avx2.returncode == 0
         assert default.stdout == avx2.stdout
 
@@ -412,6 +426,20 @@ class TestSimdDispatchIndependence:
             assert res.returncode == 0, res.stderr
             outputs.append((out.read_bytes(), (tmp_path / f"{tag}.csv.footer.json").read_bytes()))
         assert outputs[0] == outputs[1]
+
+
+class TestProfileOrientationContract:
+    """p < 1 maps X > 0 to Psi < 0: a start on the other side is refused as JSON, not a traceback."""
+
+    def test_wrong_side_start_is_an_orientation_json_error(self):
+        res = run_cli("profile", "--eq", "ple", "--p", "0.5", "--n", "3", "--beta", "0.3",
+                      "--psi0", "0.2", "--phi0", "0.5", "--span", "0", "0.1")
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        data = json.loads(res.stdout)
+        assert data["status"] == "error"
+        assert data["error"]["type"] == "OrientationError"
+
 
 
 class TestExponentMinusOneContract:

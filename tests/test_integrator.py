@@ -149,11 +149,6 @@ class TestTrajectory:
         with pytest.raises(Exception):
             Trajectory(np.array([0.0, 1.0, 0.5]), np.zeros((3, 2)), np.zeros((3, 2)))
 
-    def test_phase_states_view(self):
-        traj = Trajectory(np.array([0.0, 1.0]), np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros((2, 2)))
-        states = traj.phase_states()
-        assert states[0].psi == 1.0 and states[1].phi == 4.0
-
 
 class TestCompareTrajectories:
     def test_self_comparison_is_zero(self):

@@ -21,12 +21,12 @@ PUBLIC = [
     "barenblatt_ple", "barenblatt_pme", "compare_trajectories", "critical_exponents",
     "dipole_derivative_ple", "dipole_pme", "equivalence", "errors", "integrate", "integrator",
     "line_betas_ple", "line_betas_pme", "line_condition_value", "loewner_nirenberg_pme",
-    "mass_integral", "max_residual", "params", "phase_plane", "ple_native_rhs_xy", "ple_native_rhs_xz",
+    "mass_integral", "max_residual", "params", "phase_plane",
     "ple_native_system_xy", "ple_preimage_dimensions", "ple_residual", "ple_to_pme", "ple_to_unified",
-    "ple_trajectory_to_unified", "pme_branch_dimensions", "pme_native_rhs", "pme_native_system",
+    "ple_trajectory_to_unified", "pme_branch_dimensions", "pme_native_system",
     "pme_residual", "pme_to_ple", "pme_to_unified", "pme_trajectory_to_unified", "profile_to_state",
     "reconstruct_profile", "self_map", "selfsimilar_value", "solutions", "state_to_profile",
-    "straight_line", "unified_coefficients", "unified_rhs", "unified_system", "unified_to_ple",
+    "straight_line", "unified_coefficients", "unified_system", "unified_to_ple",
     "unified_to_pme", "verify_equivalence", "yamabe_curve", "yamabe_ple",
 ]
 
@@ -65,7 +65,11 @@ def test_lazy_names_are_the_module_objects():
     assert ssflow.solutions is solutions
 
 
-@pytest.mark.parametrize("name", ["Regime", "classify_regime", "no_such_name"])
+@pytest.mark.parametrize(
+    "name",
+    ["Regime", "classify_regime", "pme_native_rhs", "ple_native_rhs_xy", "ple_native_rhs_xz", "unified_rhs",
+     "no_such_name"],
+)
 def test_unknown_names_raise_attribute_error(name):
     with pytest.raises(AttributeError, match=name):
         getattr(ssflow, name)

@@ -27,12 +27,9 @@ from ssflow import (
     line_betas_ple,
     line_betas_pme,
     line_condition_value,
-    ple_native_rhs_xy,
-    ple_native_rhs_xz,
     ple_native_system_xy,
     ple_to_unified,
     ple_trajectory_to_unified,
-    pme_native_rhs,
     pme_native_system,
     pme_to_unified,
     pme_trajectory_to_unified,
@@ -41,7 +38,6 @@ from ssflow import (
     state_to_profile,
     straight_line,
     unified_coefficients,
-    unified_rhs,
     unified_system,
     unified_to_ple,
     unified_to_pme,
@@ -53,58 +49,48 @@ PLE = PLEParams(3.0, 1.0, 1.0 / 3.0)
 SQRT6 = math.sqrt(6.0)
 
 
+def _ple_xz_field(x, z, params):
+    """Reference native p-Laplacian (X, Z) field with Z = eta^gamma f, for X > 0.
+
+    dX = ((2-p)/(p-1)) (-(n-gamma)X + alpha Z X^((3-2p)/(2-p)) - beta X^2),  dZ = gamma Z - X^(1/(2-p))
+    """
+    p, n, beta, gamma = params.p, params.n, params.beta, params.gamma
+    pow1 = abs(x) ** ((3.0 - 2.0 * p) / (2.0 - p))
+    dx = ((2.0 - p) / (p - 1.0)) * (-(n - gamma) * x + alpha_from(params) * z * pow1 - beta * abs(x) * x)
+    return dx, gamma * z - x ** (1.0 / (2.0 - p))
+
+
 class TestNativeRhs:
     def test_pme_origin_fixed(self):
-        assert pme_native_rhs((0.0, 0.0), PME) == (0.0, 0.0)
+        assert pme_native_system(PME)((0.0, 0.0)) == (0.0, 0.0)
 
     def test_pme_spot_values(self):
-        assert pme_native_rhs((1.0, 0.0), PME) == pytest.approx((-1.0, 0.0), abs=1e-15)
-        assert pme_native_rhs((0.0, 1.0), PME) == pytest.approx((-1.0 / 3.0, 2.0), abs=1e-15)
+        assert pme_native_system(PME)((1.0, 0.0)) == pytest.approx((-1.0, 0.0), abs=1e-15)
+        assert pme_native_system(PME)((0.0, 1.0)) == pytest.approx((-1.0 / 3.0, 2.0), abs=1e-15)
 
     def test_ple_xy_origin_fixed(self):
-        assert ple_native_rhs_xy((0.0, 0.0), PLE) == (0.0, 0.0)
+        assert ple_native_system_xy(PLE)((0.0, 0.0)) == (0.0, 0.0)
 
     def test_ple_xy_spot_value(self):
-        dx, dy = ple_native_rhs_xy((1.0, 0.0), PLE)
+        dx, dy = ple_native_system_xy(PLE)((1.0, 0.0))
         assert dx == pytest.approx(13.0 / 6.0, rel=1e-14)
         assert dy == -1.0
 
     def test_ple_xy_x_axis_invariant(self):
         for y in (-1.0, 0.5, 2.0):
-            dx, dy = ple_native_rhs_xy((0.0, y), PLE)
+            dx, dy = ple_native_system_xy(PLE)((0.0, y))
             assert dx == 0.0
             alpha, n = alpha_from(PLE), PLE.n
             assert dy == pytest.approx(-alpha * y * y + n * y, rel=1e-14)
 
-    def test_ple_xz_zero_exponent_policy(self):
-        # p = 3/2 makes the fractional exponent vanish: |0|^0 := 1
-        params = PLEParams(1.5, 1.0, 0.2)
-        dx, dz = ple_native_rhs_xz((0.0, 1.0), params)
-        assert dx == pytest.approx(alpha_from(params), abs=1e-15)
-        assert dz == pytest.approx(params.gamma, abs=1e-15)
-
-    def test_ple_xz_spot_value(self):
-        params = PLEParams(3.0, 2.0, 0.0)
-        dx, dz = ple_native_rhs_xz((1.0, 0.0), params)
-        expected_dx = -((2.0 - 3.0) / (3.0 - 1.0)) * (2.0 - params.gamma)
-        assert dx == pytest.approx(expected_dx, rel=1e-14)
-        assert dz == -1.0
-
-    @pytest.mark.parametrize("p", [1.75, 3.0])
-    def test_ple_xz_singular_at_zero(self, p):
-        params = PLEParams(p, 1.0, 0.2)
-        with pytest.raises(SingularEvaluationError):
-            ple_native_rhs_xz((0.0, 0.0), params)
-
     def test_ple_xz_consistent_with_xy(self):
         # Y = |X|^(1/(p-2)) X Z ties the two systems together
         params = PLEParams(3.0, 2.0, 0.1)
-        x, z = 0.8, 1.3
-        state = NativeStatePLE.from_xz(x, z, params)
-        dx_z, dz = ple_native_rhs_xz((x, z), params)
-        dx_y, dy = ple_native_rhs_xy((x, state.y), params)
+        p, x, z = params.p, 0.8, 1.3
+        y = x ** (1.0 / (p - 2.0) + 1.0) * z
+        dx_z, dz = _ple_xz_field(x, z, params)
+        dx_y, dy = ple_native_system_xy(params)((x, y))
         assert dx_z == pytest.approx(dx_y, rel=1e-13)
-        p = params.p
         dy_chain = (p - 1.0) / (p - 2.0) * x ** (1.0 / (p - 2.0)) * dx_z * z + x ** (
             (p - 1.0) / (p - 2.0)
         ) * dz
@@ -114,23 +100,23 @@ class TestNativeRhs:
 class TestUnifiedRhs:
     def test_constant_term_only(self):
         coeffs = UnifiedCoefficients(0.0, 0.0, 0.0, 1.0, 1, 0)
-        assert unified_rhs((0.0, 0.0), coeffs) == (0.0, 1.0)
+        assert unified_system(coeffs)((0.0, 0.0)) == (0.0, 1.0)
 
     def test_type3_drops_psi(self):
         coeffs = UnifiedCoefficients(0.0, 0.0, 0.0, 1.0, 1, 0)
-        assert unified_rhs((5.0, 0.0), coeffs) == (0.0, 1.0)
+        assert unified_system(coeffs)((5.0, 0.0)) == (0.0, 1.0)
 
     def test_psi_axis_invariant(self):
         coeffs = unified_coefficients(PME)
-        dpsi, _ = unified_rhs((0.0, 0.37), coeffs)
+        dpsi, _ = unified_system(coeffs)((0.0, 0.37))
         assert dpsi == 0.0
 
     def test_line_tangency_reference_case(self):
-        coeffs = unified_coefficients(PME)
+        rhs = unified_system(unified_coefficients(PME))
         a = SQRT6 / 3.0
         for psi in np.linspace(-2.0, 2.0, 100):
             phi = a * (psi + 1.0)
-            dpsi, dphi = unified_rhs((psi, phi), coeffs)
+            dpsi, dphi = rhs((psi, phi))
             assert abs(dphi - a * dpsi) < 1e-12
 
 
@@ -152,20 +138,32 @@ class TestTransforms:
         assert st.psi == pytest.approx(1.0, abs=1e-15)
 
     def test_ple_forward_scale(self):
-        st = ple_to_unified(NativeStatePLE.from_xy(1.0, 0.0, PLE), PLE)
+        st = ple_to_unified(NativeStatePLE(1.0, 0.0), PLE)
         assert st.psi == pytest.approx(1.0 / 12.0, abs=1e-16)
 
-    def test_ple_orientation_guard(self):
+    # the forward map and the inverse share one rule, X > 0, which NaN fails too
+    @pytest.mark.parametrize("x", [-1.0, math.nan])
+    def test_ple_orientation_guard(self, x):
         with pytest.raises(OrientationError):
-            ple_to_unified(NativeStatePLE.from_xy(-1.0, 0.0, PLE), PLE)
+            ple_to_unified(NativeStatePLE(x, 0.0), PLE)
 
     def test_ple_round_trip(self):
         params = PLEParams(3.0, 1.0, 0.25)
         for x, y in [(1.0, 2.0), (0.2, -0.5), (3.0, 0.1)]:
-            st = ple_to_unified(NativeStatePLE.from_xy(x, y, params), params)
+            st = ple_to_unified(NativeStatePLE(x, y), params)
             back = unified_to_ple(st, params)
             assert back.x == pytest.approx(x, rel=1e-12)
             assert back.y == pytest.approx(y, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [0.5, 0.8])
+    def test_ple_round_trip_below_one(self, p):
+        # for p < 1 the embedding's a = 1/(|b|(p-1)) is negative: X > 0 maps to Psi < 0
+        params = PLEParams(p, 3.0, 0.3)
+        st = ple_to_unified((0.4, 0.7), params)
+        assert st.psi < 0.0
+        back = unified_to_ple(st, params)
+        assert back.x == pytest.approx(0.4, rel=1e-14)
+        assert back.y == pytest.approx(0.7, rel=1e-14)
 
     def test_ple_inverse_alpha_zero_refused(self):
         # p = 3, beta = 1/3 Type I forces alpha = 0
@@ -187,6 +185,7 @@ class TestProfileToState:
         st = profile_to_state(ProfileSample(1.0, 1.0, 0.0), PME)
         assert st.psi == pytest.approx(1.0 / 6.0, abs=1e-16)
         assert st.phi == pytest.approx(2.0 / SQRT6, abs=1e-15)
+        assert tuple(st) == (st.psi, st.phi)  # a named pair: unpacks, and keeps .psi and .phi
 
     def test_ple_decreasing_sample(self):
         st = profile_to_state(ProfileSample(1.0, 1.0, -1.0), PLE)
@@ -213,8 +212,7 @@ class TestProfileToState:
 class TestConjugacyByFiniteDifferences:
     def test_mapped_derivative_matches_unified_field(self):
         # uniform fine steps, map states, centered differences vs the field: O(h^2)
-        coeffs = unified_coefficients(PME)
-        s = coeffs.sqrt_abs_b
+        rhs = unified_system(unified_coefficients(PME))
         errs = []
         for h in (2e-3, 1e-3):
             sett = IntegrationSettings(rel_tol=1e-3, abs_tol=1e-3, max_step=h)
@@ -224,7 +222,7 @@ class TestConjugacyByFiniteDifferences:
             for i in range(1, len(mapped) - 1):
                 dr = mapped.r1[i + 1] - mapped.r1[i - 1]
                 fd = (mapped.states[i + 1] - mapped.states[i - 1]) / dr
-                field = np.array(unified_rhs(mapped.states[i], coeffs))
+                field = np.array(rhs(mapped.states[i]))
                 worst = max(worst, float(np.max(np.abs(fd - field))))
             errs.append(worst)
         assert errs[0] / errs[1] > 3.0  # halving h roughly quarters the error
@@ -269,11 +267,25 @@ class TestReconstruction:
             out = reconstruct_profile(traj, PME, anchor)
         assert len(out) == 2
 
+    def test_truncation_at_first_refused_state_below_one(self):
+        # p < 1: valid states have Psi < 0, and the first Psi > 0 state ends the profile
+        params = PLEParams(0.5, 3.0, 0.3)
+        anchor = ProfileSample(1.0, 1.0, -0.5)
+        st = profile_to_state(anchor, params)
+        states = np.array([(st.psi, st.phi), (st.psi, st.phi), (-st.psi, st.phi), (st.psi, st.phi)])
+        traj = Trajectory(np.linspace(0.0, 0.3, 4), states, np.zeros((4, 2)))
+        with pytest.warns(TruncationWarning):
+            out = reconstruct_profile(traj, params, anchor)
+        assert len(out) == 2
+        assert out[0].eta == anchor.eta
+        assert out[0].f == pytest.approx(anchor.f, rel=1e-14)
+        assert out[0].fprime == pytest.approx(anchor.fprime, rel=1e-14)
+
     def test_samples_sorted_increasing_eta_backward_run(self):
         coeffs = unified_coefficients(PME)
         start = profile_to_state(ProfileSample(1.0, 0.5, -0.1), PME)
         sett = IntegrationSettings(rel_tol=1e-10, abs_tol=1e-13)
-        traj = integrate(unified_system(coeffs), start.as_tuple(), (0.0, -1.0), sett)
+        traj = integrate(unified_system(coeffs), tuple(start), (0.0, -1.0), sett)
         samples = reconstruct_profile(traj, PME, ProfileSample(1.0, 0.5, -0.1))
         etas = [s.eta for s in samples]
         assert etas == sorted(etas)
@@ -333,10 +345,10 @@ class TestYamabeCurve:
     @pytest.mark.parametrize("n", [3.0, 4.0, 5.0])
     def test_exact_trajectory_of_slope_field(self, n):
         m_s = (n - 2.0) / (n + 2.0)
-        coeffs = unified_coefficients(PMEParams(m_s, n, 0.0, SimilarityType.TYPE_II))
+        rhs = unified_system(unified_coefficients(PMEParams(m_s, n, 0.0, SimilarityType.TYPE_II)))
         for phi in np.linspace(-2.0, 2.0, 100):
             psi = yamabe_curve(n, float(phi))
-            dpsi, dphi = unified_rhs((psi, phi), coeffs)
+            dpsi, dphi = rhs((psi, phi))
             # the parabola has dPsi/dPhi = -n phi / 2
             assert abs(dpsi + n * phi / 2.0 * dphi) < 1e-12
 
@@ -350,7 +362,7 @@ class TestSingleImplementation:
         params = PMEParams(0.25, 3.0, 1.0)
         nat = integrate(pme_native_system(params), (-0.5, 0.2), (0.0, 1.0), self.SETT)
         mapped = pme_trajectory_to_unified(nat, params)
-        rows = np.array([pme_to_unified(row, params).as_tuple() for row in nat.states])
+        rows = np.array([tuple(pme_to_unified(row, params)) for row in nat.states])
         assert len(rows) > 10
         assert np.array_equal(mapped.states, rows)
 
@@ -358,7 +370,7 @@ class TestSingleImplementation:
         params = PLEParams(1.25, 2.5, 0.4)
         nat = integrate(ple_native_system_xy(params), (0.3, -0.2), (0.0, 1.0), self.SETT)
         mapped = ple_trajectory_to_unified(nat, params)
-        rows = np.array([ple_to_unified(row, params).as_tuple() for row in nat.states])
+        rows = np.array([tuple(ple_to_unified(row, params)) for row in nat.states])
         assert len(rows) > 10
         assert np.array_equal(mapped.states, rows)
 
@@ -376,9 +388,14 @@ class TestSingleImplementation:
         with pytest.raises(SingularEvaluationError):
             state_to_profile(PhaseState(0.1, 0.5), 1.0, PLE)
 
-    def test_state_to_profile_ple_orientation_guard(self):
-        params = PLEParams(3.0, 1.0, 0.25)
-        for psi in (0.0, -0.1):
+    # X = Psi/a must be positive; a < 0 for p < 1 puts the refused side at Psi >= 0
+    @pytest.mark.parametrize(
+        "params,psis",
+        [(PLEParams(3.0, 1.0, 0.25), (0.0, -0.1)), (PLEParams(0.5, 3.0, 0.3), (0.0, 0.1))],
+        ids=["p3", "p0.5"],
+    )
+    def test_state_to_profile_ple_orientation_guard(self, params, psis):
+        for psi in psis:
             with pytest.raises(OrientationError):
                 state_to_profile(PhaseState(psi, 0.5), 1.0, params)
 
