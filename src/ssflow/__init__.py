@@ -73,7 +73,6 @@ _LAZY = {
     ),
     "solutions": (
         "ClosedFormProfile",
-        "ProfileKind",
         "barenblatt_ple",
         "barenblatt_pme",
         "dipole_derivative_ple",

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from .errors import DomainError
 
 
-def _check_eta(eta):
-    if not 0.0 < eta < math.inf:  # refuses NaN
-        raise DomainError(f"eta must be positive and finite, got {eta}")
+def _check_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:  # refuses NaN
+        raise DomainError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class ProfileSample:
     fprime: float
 
     def __post_init__(self):
-        _check_eta(self.eta)
+        _check_positive("eta", self.eta)
 
 
 @dataclass

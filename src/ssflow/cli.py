@@ -148,10 +148,10 @@ def cmd_map(args) -> int:
     for branch in branches:
         try:
             image = pme_to_ple(params, branch) if is_pme else ple_to_pme(params, branch)
+            rep = verify_equivalence(params, image, tol) if is_pme else verify_equivalence(image, params, tol)
         except SsflowError as exc:
             errors.append({"branch": branch.value, "type": type(exc).__name__, "message": str(exc)})
             continue
-        rep = verify_equivalence(params, image, tol) if is_pme else verify_equivalence(image, params, tol)
         entry = _params_dict(image)
         entry["branch"] = branch.value
         entry["orientation_flipped"] = rep.flipped

@@ -45,9 +45,7 @@ class EquivalenceReport:
     the match holds in the reversed orientation (Psi, Phi, r1) ->
     (Psi, -Phi, -r1), which negates c2 and c3 together; one of the two
     branch images always sits in that orientation because the dimension
-    quadratic squares the c3 identification.  ``sum_identity_value``
-    records 1/n'_1 + 1/n'_2 computed from the porous-medium side (its
-    target is (1-m)/(m+1) = (2-p)/p).
+    quadratic squares the c3 identification.
     """
 
     c_match: bool
@@ -55,7 +53,6 @@ class EquivalenceReport:
     beta_identity: bool
     b_ratio: bool
     sign_match: bool
-    sum_identity_value: float
     tol: float
     flipped: bool = False
 
@@ -193,7 +190,7 @@ def verify_equivalence(pme: PMEParams, ple: PLEParams, tol: float = 1e-10) -> Eq
     """Check every coefficient identity for a matched parameter pair.
 
     Reports the field-wise coefficient match, beta^2 (n-2)^2 = (beta' n')^2,
-    b'/b = n'^2/(n-2)^2, sgn(b) = sgn(b'), and the branch-sum diagnostic.
+    b'/b = n'^2/(n-2)^2 and sgn(b) = sgn(b').
     Refuses critical parameters (the ratio identities divide by b) and the
     porous-medium sources the maps refuse (n = 2, m = -1).
     """
@@ -201,7 +198,7 @@ def verify_equivalence(pme: PMEParams, ple: PLEParams, tol: float = 1e-10) -> Eq
     cb = unified_coefficients(ple)
     if ca.critical or cb.critical:
         raise CriticalError("identity checks divide by b; critical parameters refused")
-    n1, n2 = pme_branch_dimensions(pme.m, pme.n)
+    pme_branch_dimensions(pme.m, pme.n)  # the maps' guards on the source (n = 2, m = m_c)
     _guard_p_zero(pme.m)
 
     c_max, flipped = coefficient_deviation(ca, cb)
@@ -217,15 +214,12 @@ def verify_equivalence(pme: PMEParams, ple: PLEParams, tol: float = 1e-10) -> Eq
 
     sign_match = ca.const_term == cb.const_term
 
-    sum_value = 1.0 / n1 + 1.0 / n2
-
     return EquivalenceReport(
         c_match=c_match,
         c_max_rel_dev=c_max,
         beta_identity=beta_identity,
         b_ratio=b_ratio,
         sign_match=sign_match,
-        sum_identity_value=sum_value,
         tol=tol,
         flipped=flipped,
     )

@@ -67,10 +67,6 @@ class PMEParams:
         if self.n <= 0.0:
             raise DomainError(f"dimension n must be positive, got {self.n}")
 
-    @property
-    def alpha(self) -> float:
-        return alpha_from(self)
-
 
 @dataclass(frozen=True)
 class PLEParams:
@@ -87,10 +83,6 @@ class PLEParams:
             raise DegenerateError("p = 2 is the linear heat equation; excluded")
         if self.n <= 0.0:
             raise DomainError(f"dimension n must be positive, got {self.n}")
-
-    @property
-    def alpha(self) -> float:
-        return alpha_from(self)
 
     @property
     def gamma(self) -> float:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._records import ProfileSample, _check_eta
+from ._records import ProfileSample, _check_positive
 from .errors import (
     AnchorMismatchError,
     CriticalError,
@@ -204,23 +204,19 @@ def _ple_inverse(psi, phi, params: PLEParams, s):
     return x, (-phi * (p - 1.0) * s / (p - 2.0) - params.gamma + params.n + params.beta * x) / alpha
 
 
-def _scale(params, coeffs: UnifiedCoefficients | None) -> float:
-    return (coeffs if coeffs is not None else unified_coefficients(params)).sqrt_abs_b
-
-
-def pme_to_unified(state, params: PMEParams, coeffs: UnifiedCoefficients | None = None) -> PhaseState:
+def pme_to_unified(state, params: PMEParams) -> PhaseState:
     """Phi = (2 + (1-m)X)/sqrt|b|,  Psi = Y/|b|."""
     x, y = _pair(state)
-    return PhaseState(*_pme_forward(x, y, params, _scale(params, coeffs)))
+    return PhaseState(*_pme_forward(x, y, params, unified_coefficients(params).sqrt_abs_b))
 
 
-def unified_to_pme(state, params: PMEParams, coeffs: UnifiedCoefficients | None = None) -> NativeStatePME:
+def unified_to_pme(state, params: PMEParams) -> NativeStatePME:
     """Inverse transform: X = (Phi sqrt|b| - 2)/(1-m),  Y = |b| Psi."""
     psi, phi = _pair(state)
-    return NativeStatePME(*_pme_inverse(psi, phi, params, _scale(params, coeffs)))
+    return NativeStatePME(*_pme_inverse(psi, phi, params, unified_coefficients(params).sqrt_abs_b))
 
 
-def ple_to_unified(state, params: PLEParams, coeffs: UnifiedCoefficients | None = None) -> PhaseState:
+def ple_to_unified(state, params: PLEParams) -> PhaseState:
     """Psi = a X with a = 1/(|b|(p-1));  Phi from the affine combination of X, Y.
 
     Requires the orientation X > 0 (decreasing profiles).
@@ -228,13 +224,13 @@ def ple_to_unified(state, params: PLEParams, coeffs: UnifiedCoefficients | None 
     x, y = _pair(state)
     if not x > 0.0:
         raise OrientationError(f"the unified embedding needs X > 0, got X = {x}")
-    return PhaseState(*_ple_forward(x, y, params, _scale(params, coeffs)))
+    return PhaseState(*_ple_forward(x, y, params, unified_coefficients(params).sqrt_abs_b))
 
 
-def unified_to_ple(state, params: PLEParams, coeffs: UnifiedCoefficients | None = None) -> NativeStatePLE:
+def unified_to_ple(state, params: PLEParams) -> NativeStatePLE:
     """Inverse transform; needs X > 0 and alpha != 0 to solve the Phi definition for Y."""
     psi, phi = _pair(state)
-    return NativeStatePLE(*_ple_inverse(psi, phi, params, _scale(params, coeffs)))
+    return NativeStatePLE(*_ple_inverse(psi, phi, params, unified_coefficients(params).sqrt_abs_b))
 
 
 def profile_to_state(sample: ProfileSample, params) -> PhaseState:
@@ -264,15 +260,16 @@ def state_to_profile(state, eta: float, params, coeffs: UnifiedCoefficients | No
     positive, OrientationError (p-Laplacian) when X = Psi/a is not positive, and
     SingularEvaluationError at p-Laplacian alpha = 0.
     """
-    _check_eta(eta)
+    _check_positive("eta", eta)
     psi, phi = _pair(state)
+    s = (coeffs if coeffs is not None else unified_coefficients(params)).sqrt_abs_b
     if isinstance(params, PMEParams):
-        x, y = _pme_inverse(psi, phi, params, _scale(params, coeffs))
+        x, y = _pme_inverse(psi, phi, params, s)
         if y <= 0.0:
             raise OutsideSupportError(f"Psi = {psi} cannot give f > 0")
         f = (y / (eta * eta)) ** (1.0 / (1.0 - params.m))
         return ProfileSample(float(eta), float(f), float(x * f / eta))
-    x, y = _ple_inverse(psi, phi, params, _scale(params, coeffs))
+    x, y = _ple_inverse(psi, phi, params, s)
     p = params.p
     z = y / x ** ((p - 1.0) / (p - 2.0))  # Z = eta^gamma f; X > 0 here
     fp = -((x / (eta * eta)) ** (1.0 / (2.0 - p)))
@@ -350,12 +347,11 @@ def reconstruct_profile(traj: Trajectory, params, anchor: ProfileSample) -> list
 # ----------------------------------------------------------------------
 
 
-def straight_line(coeffs: UnifiedCoefficients, cond_tol: float = 1e-9) -> tuple[float, float] | None:
+def straight_line(coeffs: UnifiedCoefficients) -> tuple[float, float] | None:
     """Invariant line Phi = a1 Psi + a2 of the Type I flow with sgn(b) = +1.
 
     The line exists iff c1 c2^2 - (c1-1) c3 c2 + (c1-1)^2 = 0, and then
-    a1 = a2 = c2/(c1-1).  Returns None when the condition fails beyond
-    ``cond_tol``.
+    a1 = a2 = c2/(c1-1).  Returns None when the condition fails beyond 1e-9.
     """
     if coeffs.critical:
         raise CriticalError("straight-line analysis needs the non-critical system")
@@ -363,7 +359,7 @@ def straight_line(coeffs: UnifiedCoefficients, cond_tol: float = 1e-9) -> tuple[
         raise SsflowError("straight-line analysis assumes sgn(b) = +1 and Type I similarity")
     if abs(coeffs.c1 - 1.0) < 1e-14:
         raise DegenerateError("c1 = 1 makes the line coefficients blow up")
-    if abs(line_condition_value(coeffs)) > cond_tol:
+    if abs(line_condition_value(coeffs)) > 1e-9:
         return None
     a = coeffs.c2 / (coeffs.c1 - 1.0)
     return (a, a)

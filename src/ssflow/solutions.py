@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import lru_cache
 from typing import Callable, Optional
 
-from ._records import ProfileSample
+from ._records import ProfileSample, _check_positive
 from .errors import (
     CriticalError,
     DegenerateError,
@@ -54,16 +53,6 @@ from .params import (
 )
 
 
-class ProfileKind(Enum):
-    BARENBLATT_PME = "barenblatt-pme"
-    BARENBLATT_PLE = "barenblatt-ple"
-    DIPOLE_PME = "dipole-pme"
-    DIPOLE_DERIVATIVE_PLE = "dipole-derivative-ple"
-    LOEWNER_NIRENBERG_PME = "loewner-nirenberg-pme"
-    YAMABE_PLE = "yamabe-ple"
-    POWER_LAW = "power-law"
-
-
 @dataclass(frozen=True)
 class ClosedFormProfile:
     """A radial profile with analytic first and second derivatives.
@@ -76,7 +65,6 @@ class ClosedFormProfile:
     otherwise.
     """
 
-    kind: ProfileKind
     constants: dict = field(default_factory=dict)
     params: object = None
     f: Callable[[float], float] = None
@@ -186,8 +174,7 @@ def barenblatt_pme(m: float, n: float, C: float = 1.0) -> ClosedFormProfile:
     absorbs alpha f + beta eta f' exactly, so the residual vanishes on the
     whole positivity set.  Compactly supported for m > 1, global for m < 1.
     """
-    if C <= 0.0:
-        raise DomainError("C must be positive")
+    _check_positive("C", C)
     denom = n * (m - 1.0) + 2.0
     if abs(denom) < 1e-12:
         raise DegenerateError("n(m-1) + 2 = 0: the source-type exponent degenerates")
@@ -195,9 +182,7 @@ def barenblatt_pme(m: float, n: float, C: float = 1.0) -> ClosedFormProfile:
     k = (m - 1.0) * beta1 / 2.0
     params = PMEParams(m, n, beta1, SimilarityType.TYPE_I)
     support, derivs = _power_law(1.0, 0.0, C, k, 2.0, 1.0 / (m - 1.0))
-    return ClosedFormProfile(
-        ProfileKind.BARENBLATT_PME, {"C": C, "k": k, "beta1": beta1}, params, *derivs, support
-    )
+    return ClosedFormProfile({"C": C, "k": k, "beta1": beta1}, params, *derivs, support)
 
 
 def barenblatt_ple(p: float, n: float, C: float = 1.0) -> ClosedFormProfile:
@@ -207,8 +192,7 @@ def barenblatt_ple(p: float, n: float, C: float = 1.0) -> ClosedFormProfile:
     A = ((p-2)/p) sign(beta1') |beta1'|^(1/(p-1)), beta1' = 1/(n(p-2)+p),
     alpha = n beta1' (Type I).
     """
-    if C <= 0.0:
-        raise DomainError("C must be positive")
+    _check_positive("C", C)
     denom = n * (p - 2.0) + p
     if abs(denom) < 1e-12:
         raise DegenerateError("n(p-2) + p = 0: the source-type exponent degenerates")
@@ -216,9 +200,7 @@ def barenblatt_ple(p: float, n: float, C: float = 1.0) -> ClosedFormProfile:
     A = (p - 2.0) / p * math.copysign(abs(beta1) ** (1.0 / (p - 1.0)), beta1)
     params = PLEParams(p, n, beta1, SimilarityType.TYPE_I)
     support, derivs = _power_law(1.0, 0.0, C, A, p / (p - 1.0), (p - 1.0) / (p - 2.0))
-    return ClosedFormProfile(
-        ProfileKind.BARENBLATT_PLE, {"C": C, "A": A, "beta1": beta1}, params, *derivs, support
-    )
+    return ClosedFormProfile({"C": C, "A": A, "beta1": beta1}, params, *derivs, support)
 
 
 def dipole_pme(m: float, n: float, K: float = 1.0) -> ClosedFormProfile:
@@ -227,8 +209,7 @@ def dipole_pme(m: float, n: float, K: float = 1.0) -> ClosedFormProfile:
     q = -(n-2)/m, e = (mn-n+2)/m, b = 2n(m - m_c)/(m-1); the similarity
     exponents are beta = 1/(2m) and alpha = 1/m (Type I).
     """
-    if K <= 0.0:
-        raise DomainError("K must be positive")
+    _check_positive("K", K)
     if m == 0.0:
         raise DegenerateError("m = 0 has no dipole profile of this form")
     crit = critical_exponents(n)
@@ -239,9 +220,7 @@ def dipole_pme(m: float, n: float, K: float = 1.0) -> ClosedFormProfile:
     q = -(n - 2.0) / m
     e = (m * n - n + 2.0) / m
     support, derivs = _power_law(1.0, q, K, 1.0 / b, e, 1.0 / (m - 1.0))
-    return ClosedFormProfile(
-        ProfileKind.DIPOLE_PME, {"K": K, "b": b, "q": q, "e": e}, params, *derivs, support
-    )
+    return ClosedFormProfile({"K": K, "b": b, "q": q, "e": e}, params, *derivs, support)
 
 
 def dipole_derivative_ple(p: float, n: float, c: float = 1.0) -> ClosedFormProfile:
@@ -253,8 +232,7 @@ def dipole_derivative_ple(p: float, n: float, c: float = 1.0) -> ClosedFormProfi
     so f = 0 there; s = eta^E/((p-1)bc) turns it into the incomplete Beta
     integral of ``_beta_tail``.  f is defined wherever f' is.
     """
-    if c <= 0.0:
-        raise DomainError("c must be positive")
+    _check_positive("c", c)
     if p == 0.0 or p == 1.0:
         raise DegenerateError(f"p = {p} has no derivative-primary profile of this form")
     crit = critical_exponents(n)
@@ -281,7 +259,7 @@ def dipole_derivative_ple(p: float, n: float, c: float = 1.0) -> ClosedFormProfi
         return scale * tail(v / c, (c - v) / c)
 
     constants = {"c": c, "b": b, "E": E, "edge": edge}
-    return ClosedFormProfile(ProfileKind.DIPOLE_DERIVATIVE_PLE, constants, params, f, fprime, fsecond, support)
+    return ClosedFormProfile(constants, params, f, fprime, fsecond, support)
 
 
 # A series stops once its remainder falls below this share of its sum, and
@@ -384,12 +362,11 @@ def loewner_nirenberg_pme(n: float, k1: float = 1.0) -> ClosedFormProfile:
     """
     if n <= 2.0:
         raise DomainError(f"this profile needs n > 2, got n = {n}")
-    if k1 <= 0.0:
-        raise DomainError("k1 must be positive")
+    _check_positive("k1", k1)
     m = critical_exponents(n).m_s
     params = PMEParams(m, n, 0.0, SimilarityType.TYPE_II)
     support, derivs = _power_law(1.0, 0.0, k1, -1.0 / (4.0 * n * k1), 2.0, -(n + 2.0) / 2.0)
-    return ClosedFormProfile(ProfileKind.LOEWNER_NIRENBERG_PME, {"k1": k1}, params, *derivs, support)
+    return ClosedFormProfile({"k1": k1}, params, *derivs, support)
 
 
 def yamabe_ple(n: float, k2: float = 1.0) -> ClosedFormProfile:
@@ -400,13 +377,12 @@ def yamabe_ple(n: float, k2: float = 1.0) -> ClosedFormProfile:
     """
     if n <= 2.0:
         raise DomainError(f"this profile needs n > 2, got n = {n}")
-    if k2 <= 0.0:
-        raise DomainError("k2 must be positive")
+    _check_positive("k2", k2)
     p = critical_exponents(n).p_s
     params = PLEParams(p, n, 0.0, SimilarityType.TYPE_II)
     C = 4.0 * n / (n + 2.0) * (4.0 * n ** 3 * k2 / (n * n - 4.0)) ** ((n - 2.0) / 4.0)
     support, derivs = _power_law(C, 0.0, 1.0, -k2, 2.0 * n / (n - 2.0), -n / 2.0)
-    return ClosedFormProfile(ProfileKind.YAMABE_PLE, {"k2": k2, "C": C}, params, *derivs, support)
+    return ClosedFormProfile({"k2": k2, "C": C}, params, *derivs, support)
 
 
 def pme_residual(profile, params: PMEParams, eta: float) -> float:
@@ -469,27 +445,39 @@ def max_residual(profile: ClosedFormProfile, count: int = 50) -> float:
     return worst
 
 
+def _check_time(sim_type: SimilarityType, t: float, T: Optional[float]) -> None:
+    """The time domain of each similarity type: t finite, and t > 0 (Type I) or t < T, T finite (Type II)."""
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite, got {t}")
+    if sim_type is SimilarityType.TYPE_I:
+        if t <= 0.0:
+            raise DomainError("Type I self-similar solutions live on t > 0")
+    elif sim_type is SimilarityType.TYPE_II:
+        if T is None:
+            raise SsflowError("Type II needs the extinction time T")
+        if not math.isfinite(T):
+            raise DomainError(f"the extinction time T must be finite, got {T}")
+        if t >= T:
+            raise DomainError(f"Type II solutions live on t < T = {T}")
+
+
 def selfsimilar_value(params, profile, x_radius: float, t: float, T: Optional[float] = None) -> float:
     """Evaluate the self-similar ansatz u at radius ``x_radius`` and time ``t``.
 
     Type I: t^(-alpha) f(x t^(-beta)) for t > 0.
-    Type II: (T-t)^alpha f(x (T-t)^beta) for t < T (T required).
+    Type II: (T-t)^alpha f(x (T-t)^beta) for t < T (T required and finite).
     Type III: e^(alpha t) f(x e^(beta t)).
+    Every type needs a finite t.
     """
     if x_radius < 0.0:
         raise DomainError("x_radius is a radius; it must be non-negative")
+    st = params.sim_type
+    _check_time(st, t, T)
     alpha = alpha_from(params)
     beta = params.beta
-    st = params.sim_type
     if st is SimilarityType.TYPE_I:
-        if t <= 0.0:
-            raise DomainError("Type I self-similar solutions live on t > 0")
         return t ** (-alpha) * profile.f(x_radius * t ** (-beta))
     if st is SimilarityType.TYPE_II:
-        if T is None:
-            raise SsflowError("Type II needs the extinction time T")
-        if t >= T:
-            raise DomainError(f"Type II solutions live on t < T = {T}")
         s = T - t
         return s ** alpha * profile.f(x_radius * s ** beta)
     return math.exp(alpha * t) * profile.f(x_radius * math.exp(beta * t))
@@ -569,15 +557,14 @@ def mass_integral(profile: ClosedFormProfile, params, t: float = 1.0, T: Optiona
 
     Integrates u(r, t) r^(n-1) over the radial support with
     ``_double_exponential`` and multiplies by the area of the unit sphere in
-    dimension n.
+    dimension n.  t and T have the domain of ``selfsimilar_value``.
     """
+    _check_time(params.sim_type, t, T)
     n = params.n
     omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
     if params.sim_type is SimilarityType.TYPE_I:
         stretch = t ** params.beta
     elif params.sim_type is SimilarityType.TYPE_II:
-        if T is None:
-            raise SsflowError("Type II needs the extinction time T")
         stretch = (T - t) ** (-params.beta)
     else:
         stretch = math.exp(-params.beta * t)

@@ -9,7 +9,6 @@ dimension) are skipped and reported, not failed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,28 +54,6 @@ CONJUGACY_POINTS_PLE = {
 }
 
 
-@dataclass
-class GridReport:
-    checks: list[CheckResult] = field(default_factory=list)
-    skipped: list[dict] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def as_dict(self) -> dict:
-        return {
-            "status": "ok" if self.passed else "fail",
-            "checks": [c.as_dict() for c in self.checks],
-            "params": {
-                "grid_m": list(GRID_M),
-                "grid_n": list(GRID_N),
-                "beta_set": "0, beta1, beta2, 1",
-                "skipped": self.skipped,
-            },
-        }
-
-
 def default_grid_cells(skipped: list[dict] | None = None):
     """Yield valid (m, n, beta) cells; record precondition skips."""
     for m in GRID_M:
@@ -105,24 +82,26 @@ def _branch_images(params: PMEParams, skipped: list[dict] | None):
                 )
 
 
-def check_identity_grid(tol_coeff: float = 1e-10, tol_identity: float = 1e-12) -> GridReport:
-    """Coefficient identification, algebraic identities, and round trips."""
-    report = GridReport()
+def check_identity_grid(skipped: list[dict], tol_coeff: float = 1e-10) -> list[CheckResult]:
+    """Coefficient identification, algebraic identities, and round trips.
+
+    Cells and branches that fail a precondition of the maps are appended to ``skipped``.
+    """
     coeff = _Agg(tol_coeff)
-    beta_id = _Agg(tol_identity)
-    b_ratio = _Agg(tol_identity)
-    sign_id = _Agg(tol_identity)
-    sum_np = _Agg(tol_identity)
-    sum_n = _Agg(tol_identity)
+    beta_id = _Agg(1e-12)
+    b_ratio = _Agg(1e-12)
+    sign_id = _Agg(1e-12)
+    sum_np = _Agg(1e-12)
+    sum_n = _Agg(1e-12)
     roundtrip = _Agg(1e-10)
     line_cond = _Agg(1e-10)
 
-    for m, n, beta in default_grid_cells(report.skipped):
+    for m, n, beta in default_grid_cells(skipped):
         pme = PMEParams(m, n, beta)
         ca = unified_coefficients(pme)
         np1, np2 = pme_branch_dimensions(m, n)
         sum_np.add(1.0 / np1 + 1.0 / np2 - (1.0 - m) / (m + 1.0))
-        for branch, ple in _branch_images(pme, report.skipped):
+        for branch, ple in _branch_images(pme, skipped):
             cb = unified_coefficients(ple)
             dev, _ = coefficient_deviation(ca, cb)
             coeff.add(dev)
@@ -156,19 +135,16 @@ def check_identity_grid(tol_coeff: float = 1e-10, tol_identity: float = 1e-12) -
                     cc = unified_coefficients(type(ple)(ple.p, ple.n, lb))
                     line_cond.add(line_condition_value(cc))
 
-    report.checks.extend(
-        [
-            coeff.result("coefficient_match"),
-            beta_id.result("beta_identity"),
-            b_ratio.result("b_ratio_identity"),
-            sign_id.result("sign_match"),
-            sum_np.result("branch_sum_ple"),
-            sum_n.result("branch_sum_pme"),
-            roundtrip.result("roundtrip"),
-            line_cond.result("line_condition"),
-        ]
-    )
-    return report
+    return [
+        coeff.result("coefficient_match"),
+        beta_id.result("beta_identity"),
+        b_ratio.result("b_ratio_identity"),
+        sign_id.result("sign_match"),
+        sum_np.result("branch_sum_ple"),
+        sum_n.result("branch_sum_pme"),
+        roundtrip.result("roundtrip"),
+        line_cond.result("line_condition"),
+    ]
 
 
 def check_verify_pairs(tol: float = 1e-10) -> CheckResult:
@@ -183,10 +159,11 @@ def check_verify_pairs(tol: float = 1e-10) -> CheckResult:
     return agg.result("verify_equivalence_pairs")
 
 
-def check_conjugacy(tol: float = 1e-6, span: float = 3.0) -> CheckResult:
-    """Native flows mapped to the unified plane match direct integration."""
+def check_conjugacy() -> CheckResult:
+    """Native flows mapped to the unified plane match direct integration over r1 in [0, 3]."""
     sett = IntegrationSettings(rel_tol=1e-9, abs_tol=1e-12)
-    agg = _Agg(tol)
+    span = 3.0
+    agg = _Agg(1e-6)
     cases = (
         (PMEParams, CONJUGACY_POINTS_PME, pme_native_system, pme_trajectory_to_unified),
         (PLEParams, CONJUGACY_POINTS_PLE, ple_native_system_xy, ple_trajectory_to_unified),
@@ -203,7 +180,7 @@ def check_conjugacy(tol: float = 1e-6, span: float = 3.0) -> CheckResult:
     return agg.result("conjugacy")
 
 
-def check_closed_forms(tol: float = 1e-8) -> CheckResult:
+def check_closed_forms() -> CheckResult:
     """Residual oracle on all closed-form profiles (50 interior points each)."""
     profiles = [
         solutions.barenblatt_pme(2.0, 1.0, 1.0),
@@ -214,15 +191,15 @@ def check_closed_forms(tol: float = 1e-8) -> CheckResult:
     for n in (3.0, 4.0, 5.0):
         profiles.append(solutions.loewner_nirenberg_pme(n, 1.0))
         profiles.append(solutions.yamabe_ple(n, 1.0))
-    agg = _Agg(tol)
+    agg = _Agg(1e-8)
     for prof in profiles:
         agg.add(solutions.max_residual(prof, count=50))
     return agg.result("closed_form_residuals")
 
 
-def check_yamabe_profiles(tol: float = 1e-6) -> CheckResult:
+def check_yamabe_profiles() -> CheckResult:
     """Mapped profile samples land on the exact parabola trajectory."""
-    agg = _Agg(tol)
+    agg = _Agg(1e-6)
     for n in (3.0, 4.0, 5.0):
         for prof in (solutions.loewner_nirenberg_pme(n, 1.0), solutions.yamabe_ple(n, 1.0)):
             for eta in solutions._geomspace(0.1, 10.0, 40):
@@ -232,9 +209,9 @@ def check_yamabe_profiles(tol: float = 1e-6) -> CheckResult:
     return agg.result("yamabe_profiles_on_curve")
 
 
-def check_yamabe_slope_field(tol: float = 1e-12) -> CheckResult:
+def check_yamabe_slope_field() -> CheckResult:
     """The parabola is tangent to the unified field at 100 sample points."""
-    agg = _Agg(tol)
+    agg = _Agg(1e-12)
     for n in (3.0, 4.0, 5.0):
         m_s = critical_exponents(n).m_s
         field = unified_system(unified_coefficients(PMEParams(m_s, n, 0.0, SimilarityType.TYPE_II)))
@@ -246,9 +223,9 @@ def check_yamabe_slope_field(tol: float = 1e-12) -> CheckResult:
     return agg.result("yamabe_slope_field")
 
 
-def check_critical_case(tol_c3: float = 1e-12) -> list[CheckResult]:
+def check_critical_case() -> list[CheckResult]:
     """c3 = -1 in the critical reduction; the map limit converges linearly."""
-    c3_agg = _Agg(tol_c3)
+    c3_agg = _Agg(1e-12)
     for n in (3.0, 4.0, 5.0):
         crit = critical_exponents(n)
         cm = unified_coefficients(PMEParams(crit.m_c, n, 0.7))
@@ -275,10 +252,10 @@ def check_critical_case(tol_c3: float = 1e-12) -> list[CheckResult]:
     return [c3_agg.result("critical_c3"), ratio_agg.result("critical_limit_linear")]
 
 
-def check_line_trajectories(tol: float = 1e-8, span: float = 5.0) -> CheckResult:
-    """Orbits started on an invariant line stay on it."""
+def check_line_trajectories() -> CheckResult:
+    """Orbits started on an invariant line stay on it over r1 in [0, 5]."""
     sett = IntegrationSettings(rel_tol=1e-10, abs_tol=1e-13)
-    agg = _Agg(tol)
+    agg = _Agg(1e-8)
     cases = []
     for lb in line_betas_pme(2.0, 1.0):
         cases.append(unified_coefficients(PMEParams(2.0, 1.0, lb)))
@@ -290,17 +267,17 @@ def check_line_trajectories(tol: float = 1e-8, span: float = 5.0) -> CheckResult
             agg.add(math.inf)
             continue
         a1, a2 = line
-        traj = integrate(unified_system(coeffs), (0.01, a1 * 0.01 + a2), (0.0, span), sett)
+        traj = integrate(unified_system(coeffs), (0.01, a1 * 0.01 + a2), (0.0, 5.0), sett)
         agg.add(float(np.max(np.abs(traj.states[:, 1] - a1 * traj.states[:, 0] - a2))))
     return agg.result("line_trajectories")
 
 
-def check_mass_conservation(tol: float = 1e-6) -> CheckResult:
+def check_mass_conservation() -> CheckResult:
     """Source-type solution mass is time independent (quadrature oracle)."""
     prof = solutions.barenblatt_pme(2.0, 1.0, 1.0)
     m1 = solutions.mass_integral(prof, prof.params, t=1.0)
     m2 = solutions.mass_integral(prof, prof.params, t=2.0)
-    agg = _Agg(tol)
+    agg = _Agg(1e-6)
     agg.add(abs(m1 - m2) / abs(m1))
     return agg.result("mass_conservation")
 
@@ -308,13 +285,23 @@ def check_mass_conservation(tol: float = 1e-6) -> CheckResult:
 def run_default_verification(tol_identities: float | None = None) -> dict:
     """Run the whole suite; returns the JSON-ready report dictionary."""
     tol_id = 1e-10 if tol_identities is None else tol_identities
-    report = check_identity_grid(tol_coeff=tol_id)
-    report.checks.append(check_verify_pairs(tol=tol_id))
-    report.checks.append(check_conjugacy())
-    report.checks.append(check_closed_forms())
-    report.checks.append(check_yamabe_profiles())
-    report.checks.append(check_yamabe_slope_field())
-    report.checks.extend(check_critical_case())
-    report.checks.append(check_line_trajectories())
-    report.checks.append(check_mass_conservation())
-    return report.as_dict()
+    skipped: list[dict] = []
+    checks = check_identity_grid(skipped, tol_coeff=tol_id)
+    checks.append(check_verify_pairs(tol=tol_id))
+    checks.append(check_conjugacy())
+    checks.append(check_closed_forms())
+    checks.append(check_yamabe_profiles())
+    checks.append(check_yamabe_slope_field())
+    checks.extend(check_critical_case())
+    checks.append(check_line_trajectories())
+    checks.append(check_mass_conservation())
+    return {
+        "status": "ok" if all(c.passed for c in checks) else "fail",
+        "checks": [c.as_dict() for c in checks],
+        "params": {
+            "grid_m": list(GRID_M),
+            "grid_n": list(GRID_N),
+            "beta_set": "0, beta1, beta2, 1",
+            "skipped": skipped,
+        },
+    }

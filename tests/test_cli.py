@@ -263,6 +263,27 @@ class TestUnifiedFlagRemoved:
         assert data["error"]["type"] == "usage"
 
 
+class TestExplicitNonFiniteConstant:
+    """A NaN or infinite constant is a parameter error before any row is written."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("explicit", "--kind", "barenblatt-pme", "--m", "2", "--n", "1", "--C", "nan"),
+            ("explicit", "--kind", "barenblatt-pme", "--m", "2", "--n", "1", "--C", "inf"),
+            ("explicit", "--kind", "yamabe-ple", "--n", "4", "--k2", "inf"),
+        ],
+        ids=["C-nan", "C-inf", "k2-inf"],
+    )
+    def test_domain_error_and_no_csv(self, argv):
+        res = run_cli(*argv)
+        assert res.returncode == 1
+        assert res.stderr == ""  # no residual footer
+        data = json.loads(res.stdout)  # the error report is all of stdout: no CSV
+        assert data["error"]["type"] == "DomainError"
+        assert "must be positive and finite" in data["error"]["message"]
+
+
 class TestExplicitFalseSuccess:
     @pytest.mark.parametrize("points", ["0", "-1"])
     def test_non_positive_points_is_a_domain_error(self, points):
@@ -486,13 +507,24 @@ class TestDipoleLinearExponentContract:
 
 
 class TestMapAllBranchesFail:
-    def test_error_lists_every_branch(self):
-        res = run_cli("map", "--eq", "pme", "--m", "-1", "--n", "3", "--beta", "0.5")
+    # (argv, the error type of each branch); at m = 0 Branch2 maps, and its identity check refuses
+    @pytest.mark.parametrize(
+        "argv,types",
+        [
+            (("map", "--eq", "pme", "--m", "-1", "--n", "3", "--beta", "0.5"),
+             ["DegenerateError", "DegenerateError"]),
+            (("map", "--eq", "pme", "--m", "0", "--n", "3", "--beta", "0.25"),
+             ["DegenerateError", "CriticalError"]),
+        ],
+        ids=["m-minus-one", "m-zero"],
+    )
+    def test_error_lists_every_branch(self, argv, types):
+        res = run_cli(*argv)
         assert res.returncode == 1
         error = json.loads(res.stdout)["error"]
         assert [b["branch"] for b in error["branches"]] == [1, 2]
         assert all(set(b) == {"branch", "type", "message"} for b in error["branches"])
-        assert all(b["type"] == "DegenerateError" for b in error["branches"])
+        assert [b["type"] for b in error["branches"]] == types
         # the older fields keep their meaning: the first branch's type, the list as a string
         assert error["type"] == error["branches"][0]["type"]
         assert json.loads(error["message"]) == error["branches"]

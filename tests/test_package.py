@@ -15,7 +15,7 @@ PUBLIC = [
     "AnchorMismatchError", "Branch", "ClosedFormProfile", "ComparisonError", "CriticalError",
     "CriticalExponents", "DegenerateError", "DimensionTwoError", "DomainError", "EquivalenceReport",
     "IntegrationFailure", "IntegrationSettings", "NativeStatePLE", "NativeStatePME", "OrientationError",
-    "OutsideSupportError", "PLEParams", "PMEParams", "PhaseState", "ProfileKind", "ProfileSample",
+    "OutsideSupportError", "PLEParams", "PMEParams", "PhaseState", "ProfileSample",
     "SimilarityType", "SingularEvaluationError", "SsflowError", "StopEvent", "Trajectory",
     "TruncationWarning", "UnifiedCoefficients", "UnphysicalDimensionError", "alpha_from",
     "barenblatt_ple", "barenblatt_pme", "compare_trajectories", "critical_exponents",
@@ -68,7 +68,7 @@ def test_lazy_names_are_the_module_objects():
 @pytest.mark.parametrize(
     "name",
     ["Regime", "classify_regime", "pme_native_rhs", "ple_native_rhs_xy", "ple_native_rhs_xz", "unified_rhs",
-     "no_such_name"],
+     "ProfileKind", "no_such_name"],
 )
 def test_unknown_names_raise_attribute_error(name):
     with pytest.raises(AttributeError, match=name):

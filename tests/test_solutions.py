@@ -15,7 +15,6 @@ from ssflow import (
     OutsideSupportError,
     PLEParams,
     PMEParams,
-    ProfileKind,
     SimilarityType,
     SingularEvaluationError,
     SsflowError,
@@ -283,7 +282,6 @@ class TestResiduals:
         params = PMEParams(2.0, 3.0, 0.1)
         const = 0.7
         prof = ClosedFormProfile(
-            ProfileKind.POWER_LAW,
             {"c": const},
             params,
             f=lambda e: const,
@@ -300,7 +298,6 @@ class TestResiduals:
 
         def perturbed(eps):
             prof = ClosedFormProfile(
-                ProfileKind.POWER_LAW,
                 {},
                 base.params,
                 f=lambda e: base.f(e) + eps,
@@ -326,7 +323,7 @@ class TestResiduals:
     def test_ple_residual_zero_slope(self):
         params = PLEParams(3.0, 1.0, 0.25)
         prof = ClosedFormProfile(
-            ProfileKind.POWER_LAW, {}, params,
+            {}, params,
             f=lambda e: 1.0, fprime=lambda e: 0.0, fsecond=lambda e: 0.0,
         )
         with pytest.raises(SingularEvaluationError):
@@ -463,6 +460,45 @@ class TestMassConservation:
         assert m1 == pytest.approx(4.0 * math.sqrt(6.0) / 3.0, rel=1e-9)
 
 
+class TestTimeDomain:
+    """selfsimilar_value and mass_integral refuse the same times, before any power of t is taken."""
+
+    @staticmethod
+    def _evaluate(fn, prof, params, t, T):
+        if fn == "value":
+            return selfsimilar_value(params, prof, 0.5, t, T)
+        return mass_integral(prof, params, t, T)
+
+    @pytest.mark.parametrize("fn", ["value", "mass"])
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+    def test_type1_needs_positive_finite_t(self, fn, t):
+        prof = barenblatt_pme(2.0, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            self._evaluate(fn, prof, prof.params, t, None)
+
+    @pytest.mark.parametrize("fn", ["value", "mass"])
+    @pytest.mark.parametrize(
+        "t,T", [(0.0, math.nan), (0.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0), (1.0, 1.0)]
+    )
+    def test_type2_needs_finite_t_below_finite_T(self, fn, t, T):
+        prof = loewner_nirenberg_pme(3.0, 1.0)
+        with pytest.raises(DomainError):
+            self._evaluate(fn, prof, prof.params, t, T)
+
+    def test_type2_mass_needs_T(self):  # selfsimilar_value: TestSelfSimilarValue.test_type2_requires_T
+        prof = loewner_nirenberg_pme(3.0, 1.0)
+        with pytest.raises(SsflowError, match="extinction time"):
+            mass_integral(prof, prof.params, 0.0)
+
+    @pytest.mark.parametrize("fn", ["value", "mass"])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_type3_needs_finite_t(self, fn, t):
+        prof = barenblatt_pme(2.0, 1.0, 1.0)
+        params = PMEParams(2.0, 1.0, 0.25, SimilarityType.TYPE_III)
+        with pytest.raises(DomainError):
+            self._evaluate(fn, prof, params, t, None)
+
+
 class TestCrossEquationPairings:
     def test_dipole_and_ple_barenblatt_share_line(self):
         # (m=2, n=1, beta=1/4) and (p=3, n'=1, beta'=1/4) share Phi = a(Psi+1)
@@ -586,6 +622,25 @@ class TestEtaDomainPolicy:
             for fn in (prof.f, prof.fprime, prof.fsecond):
                 with pytest.raises(OutsideSupportError):
                     fn(eta)
+
+
+# (factory, its leading arguments, the name of its constant): one per closed form
+CONSTANTS = [
+    (barenblatt_pme, (2.0, 1.0), "C"),
+    (barenblatt_ple, (3.0, 1.0), "C"),
+    (dipole_pme, (2.0, 1.0), "K"),
+    (dipole_derivative_ple, (3.0, 1.0), "c"),
+    (loewner_nirenberg_pme, (3.0,), "k1"),
+    (yamabe_ple, (4.0,), "k2"),
+]
+
+
+class TestConstantDomain:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("factory,args,name", CONSTANTS, ids=[c[0].__name__ for c in CONSTANTS])
+    def test_constant_must_be_positive_and_finite(self, factory, args, name, value):
+        with pytest.raises(DomainError, match=f"^{name} must be positive and finite, got {value}$"):
+            factory(*args, value)
 
 
 class TestBarenblattPLENegativeBeta1:
