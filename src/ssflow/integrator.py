@@ -4,6 +4,8 @@ One Dormand-Prince 5(4) pair with the standard step-size controller drives
 every trajectory computation in the package.  The systems here are polynomial
 and non-stiff away from blow-up, so no implicit machinery is needed; a
 divergence guard stops orbits that reach the quadratic blow-up instead.
+The step runs on Python floats: its stage and error sums are plain left-to-right
+sums, so no trajectory depends on the BLAS that numpy loads.
 
 Stopping events are threshold crossings of one state component, located by
 bisection on the cubic Hermite interpolant of the accepted step.
@@ -35,8 +37,9 @@ _A = (
 )
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
-_A_NP = tuple(np.asarray(row) for row in _A)
-_E_NP = np.asarray(_E)
+# The sums of stages 2-7 and the error sum, as (j, a_j) pairs over the stored
+# slopes k[j]; zero entries are left out, which changes no sum (each starts at +0.0).
+_ROWS = tuple(tuple((j, a) for j, a in enumerate(row) if a != 0.0) for row in _A[1:] + (_E,))
 
 
 @dataclass(frozen=True)
@@ -156,105 +159,97 @@ def integrate(rhs, y0, span, settings: IntegrationSettings | None = None) -> Tra
     r = r0
     accepted = rejected = 0
     evals = 1  # rhs calls so far
-    # Stage sums keep the bytes of the array loop's k[:i].T @ A[i] and k.T @ E.  Stage 1 is
-    # 0.0 + f * 0.2 on floats, the unfused op = 0; op += a*b that @ runs for one column (dot's
-    # axpy would fuse it and keep the sign of an underflowed zero).  The others stay dgemv on
-    # the C-ordered k, which fixes their summation order: dot reaches @'s dgemv('N', 2, i, ..)
-    # (ColMajor/NoTrans on the (2, i) view; matmul: RowMajor/Trans) and zeroes the reused out
-    # first.  Rows go in through kf, a flat view of k's doubles: kf[2*i + c] is k[i, c].
-    k = np.empty((7, 2))
-    kf = memoryview(k).cast("B").cast("d")
-    kf[0], kf[1] = f0, f1
-    sums = memoryview(out := np.empty(2))
-    # Each stage stores its row, then forms the next sum; after row 6 that is the error sum.
-    stages = [(2 * i, k[:i + 1].T.dot, row) for i, row in enumerate(_A_NP[2:] + (_E_NP,), 1)]
+    # The slopes of the seven stages, one list per component; k0[0], k1[0] is f at the step start.
+    k0, k1 = [f0] + [0.0] * 6, [f1] + [0.0] * 6
 
     def result(status):
         meta.update(accepted=accepted, rejected=rejected, rhs_evals=evals)
         return Trajectory(np.array(rs), np.array(ys), np.array(fs), status=status, meta=meta)
 
-    # Overflowing stage sums are rejected below, so numpy need not warn about them.
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            if accepted >= max_steps:
-                return result("truncated")
-            remaining = r_end - r
-            if direction * remaining <= 0.0:
-                return result("completed")
-            if abs(h) > abs(remaining):
-                h = remaining
-            if abs(h) > max_step:
-                h = direction * max_step
+    while True:
+        if accepted >= max_steps:
+            return result("truncated")
+        remaining = r_end - r
+        if direction * remaining <= 0.0:
+            return result("completed")
+        if abs(h) > abs(remaining):
+            h = remaining
+        if abs(h) > max_step:
+            h = direction * max_step
 
-            err_norm = math.nan  # stays NaN when a stage or the new state is not finite
-            s0, s1 = 0.0 + f0 * 0.2, 0.0 + f1 * 0.2
-            for j, next_sum, a_row in stages:
-                u = y0 + h * s0
-                v = y1 + h * s1
-                value = rhs((u, v))
-                evals += 1
-                try:
-                    a, b = value
-                except (TypeError, ValueError):
-                    raise _not_a_pair(value, (u, v)) from None
-                if not (math.isfinite(a) and math.isfinite(b)):
-                    break
-                kf[j], kf[j + 1] = a, b
-                next_sum(a_row, out)
-                s0, s1 = sums
-            else:  # the quadrature row equals the last stage point, so (u, v) is the new state
+        err_norm = math.nan  # stays NaN when a stage or the new state is not finite
+        # Every sum runs left to right, unfused, as in Hairer's dopri5.f, so the bytes depend
+        # only on IEEE double arithmetic and two libm calls: pow (err_norm ** -0.2) and hypot.
+        for i, row in enumerate(_ROWS, 1):
+            s0 = s1 = 0.0
+            for j, a_j in row:
+                s0 += a_j * k0[j]
+                s1 += a_j * k1[j]
+            if i == 7:  # the error sum; the quadrature row was the last stage point, so (u, v) is the new state
                 if math.isfinite(u) and math.isfinite(v):
                     q0 = h * s0 / (abs_tol + rel_tol * max(abs(y0), abs(u)))
                     q1 = h * s1 / (abs_tol + rel_tol * max(abs(y1), abs(v)))
                     err_norm = math.sqrt((q0 * q0 + q1 * q1) / 2)
+                break
+            u = y0 + h * s0
+            v = y1 + h * s1
+            value = rhs((u, v))
+            evals += 1
+            try:
+                a, b = value
+            except (TypeError, ValueError):
+                raise _not_a_pair(value, (u, v)) from None
+            if not (math.isfinite(a) and math.isfinite(b)):
+                break
+            k0[i], k1[i] = float(a), float(b)
 
-            if math.isnan(err_norm):  # something was not finite: halve the step
-                factor = 0.5
-            else:
-                factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
-            if not err_norm <= 1.0:
-                rejected += 1
-                h *= factor
-                if abs(h) < 1e-14 * max(1.0, abs(r)):
-                    cause = "rhs produced non-finite values" if math.isnan(err_norm) else "step size underflow"
-                    raise IntegrationFailure(f"{cause} near r = {r}", partial=result("truncated"))
-                continue
-
-            # Accepted.  FSAL: the last stage (a, b) is f at (r + h, (u, v)); as
-            # floats, it steps like the stored k[6] whatever pair rhs returns.
-            accepted += 1
-            a, b = float(a), float(b)
-            # Events first: an interior crossing replaces the endpoint.
-            hit = None
-            for ev in stop_events:
-                c = ev.component
-                theta = _locate_event(ev, h, (y0, y1)[c], (f0, f1)[c], (u, v)[c], (a, b)[c])
-                if theta is not None and (hit is None or theta < hit[0]):
-                    hit = (theta, ev)
-            if hit is not None:
-                theta, ev = hit
-                y_ev = (_hermite(theta, h, y0, f0, u, a), _hermite(theta, h, y1, f1, v, b))
-                value = rhs(y_ev)
-                evals += 1
-                try:
-                    a, b = value
-                except (TypeError, ValueError):
-                    raise _not_a_pair(value, y_ev) from None
-                rs.append(r + theta * h)
-                ys.append(y_ev)
-                fs.append((float(a), float(b)))
-                meta["event"] = ev
-                return result("event")
-
-            r += h
-            y0, y1, f0, f1 = u, v, a, b
-            kf[0], kf[1] = a, b
-            rs.append(r)
-            ys.append((u, v))
-            fs.append((a, b))
-            if math.hypot(u, v) > OVERFLOW_GUARD:
-                return result("diverged")
+        if math.isnan(err_norm):  # something was not finite: halve the step
+            factor = 0.5
+        else:
+            factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+        if not err_norm <= 1.0:
+            rejected += 1
             h *= factor
+            if abs(h) < 1e-14 * max(1.0, abs(r)):
+                cause = "rhs produced non-finite values" if math.isnan(err_norm) else "step size underflow"
+                raise IntegrationFailure(f"{cause} near r = {r}", partial=result("truncated"))
+            continue
+
+        # Accepted.  FSAL: the last stage (a, b) is f at (r + h, (u, v)); as
+        # floats, it steps like the stored k0[6], k1[6] whatever pair rhs returns.
+        accepted += 1
+        a, b = float(a), float(b)
+        # Events first: an interior crossing replaces the endpoint.
+        hit = None
+        for ev in stop_events:
+            c = ev.component
+            theta = _locate_event(ev, h, (y0, y1)[c], (f0, f1)[c], (u, v)[c], (a, b)[c])
+            if theta is not None and (hit is None or theta < hit[0]):
+                hit = (theta, ev)
+        if hit is not None:
+            theta, ev = hit
+            y_ev = (_hermite(theta, h, y0, f0, u, a), _hermite(theta, h, y1, f1, v, b))
+            value = rhs(y_ev)
+            evals += 1
+            try:
+                a, b = value
+            except (TypeError, ValueError):
+                raise _not_a_pair(value, y_ev) from None
+            rs.append(r + theta * h)
+            ys.append(y_ev)
+            fs.append((float(a), float(b)))
+            meta["event"] = ev
+            return result("event")
+
+        r += h
+        y0, y1, f0, f1 = u, v, a, b
+        k0[0], k1[0] = a, b
+        rs.append(r)
+        ys.append((u, v))
+        fs.append((a, b))
+        if math.hypot(u, v) > OVERFLOW_GUARD:
+            return result("diverged")
+        h *= factor
 
 
 def _interp_states(traj: Trajectory, grid: np.ndarray) -> np.ndarray:

@@ -192,8 +192,8 @@ def unified_coefficients(params, critical_tol: float = DEFAULT_CRITICAL_TOL) -> 
     substituted scale sqrt(b) := n-2 (resp. n) is used instead, which gives
     c3 = -1 exactly and drops the constant term.
     """
-    if not critical_tol >= 0.0:  # refuses NaN
-        raise DomainError(f"critical_tol must be non-negative, got {critical_tol}")
+    if not 0.0 <= critical_tol < math.inf:  # refuses NaN
+        raise DomainError(f"critical_tol must be non-negative and finite, got {critical_tol}")
     psi = params.sim_type.psi_coeff
     crit = critical_exponents(params.n)
     n = params.n

@@ -469,8 +469,8 @@ def selfsimilar_value(params, profile, x_radius: float, t: float, T: Optional[fl
     Type III: e^(alpha t) f(x e^(beta t)).
     Every type needs a finite t.
     """
-    if x_radius < 0.0:
-        raise DomainError("x_radius is a radius; it must be non-negative")
+    if not 0.0 <= x_radius < math.inf:  # refuses NaN
+        raise DomainError(f"x_radius is a radius; it must be non-negative and finite, got {x_radius}")
     st = params.sim_type
     _check_time(st, t, T)
     alpha = alpha_from(params)

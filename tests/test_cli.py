@@ -76,8 +76,9 @@ class TestCoeffsCommand:
         assert data["coefficients"]["critical"] is True
         assert data["coefficients"]["c3"] == -1.0
 
-    def test_nan_critical_tol_is_a_domain_error(self):
-        res = run_cli("coeffs", "--eq", "pme", "--m", "2", "--n", "1", "--beta", "0.25", "--critical-tol", "nan")
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_critical_tol_is_a_domain_error(self, tol):
+        res = run_cli("coeffs", "--eq", "pme", "--m", "2", "--n", "1", "--beta", "0.25", "--critical-tol", tol)
         assert res.returncode == 1
         assert "Traceback" not in res.stderr
         data = json.loads(res.stdout)
@@ -619,6 +620,24 @@ class TestGoldenTrajectories:
         assert len(rows) == len(traj)
         for (r1, psi, phi), tr, ts in zip(rows, traj.r1, traj.states):
             assert r1 == tr and psi == ts[0] and phi == ts[1]
+
+
+class TestBlasKernelIndependence:
+    # The stage sums run on Python floats, so no output may depend on the OpenBLAS kernel numpy
+    # loads; Prescott is the oldest x86-64 kernel and differs from the newer ones in its dgemv.
+    @pytest.mark.parametrize(
+        "argv",
+        [["integrate", "--preset", "barenblatt-line"], ["integrate", "--preset", "yamabe-vertex"], ["verify"]],
+        ids=["barenblatt-line", "yamabe-vertex", "verify"],
+    )
+    def test_prescott_gives_the_default_bytes(self, argv):
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        runs = [
+            subprocess.run([sys.executable, "-m", "ssflow", *argv], capture_output=True, env=kernel_env, timeout=120)
+            for kernel_env in (env, env | {"OPENBLAS_CORETYPE": "Prescott"})
+        ]
+        assert [run.returncode for run in runs] == [0, 0]
+        assert runs[1].stdout == runs[0].stdout
 
 
 class TestNegativeNumberTokens:

@@ -131,8 +131,8 @@ class TestUnifiedCoefficients:
         assert c.critical and c.const_term == 0 and c.c3 == -1.0
         assert c.sqrt_abs_b == pytest.approx(n, abs=1e-15)
 
-    @pytest.mark.parametrize("tol", [-1e-9, math.nan])
-    def test_critical_tol_must_be_non_negative(self, tol):
+    @pytest.mark.parametrize("tol", [-1e-9, math.nan, math.inf])
+    def test_critical_tol_must_be_non_negative_and_finite(self, tol):
         with pytest.raises(DomainError):
             unified_coefficients(PMEParams(2.0, 1.0, 0.25), critical_tol=tol)
 

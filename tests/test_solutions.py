@@ -407,6 +407,12 @@ class TestSelfSimilarValue:
         with pytest.raises(DomainError):
             selfsimilar_value(prof.params, prof, 0.5, 2.0, T=1.0)
 
+    @pytest.mark.parametrize("x_radius", [-0.5, math.nan, math.inf, -math.inf])
+    def test_radius_must_be_finite_and_non_negative(self, x_radius):
+        prof = loewner_nirenberg_pme(3.0, 1.0)
+        with pytest.raises(DomainError, match="x_radius"):
+            selfsimilar_value(prof.params, prof, x_radius, 0.5, 1.0)
+
     def test_type3_exponential_form(self):
         params = PMEParams(2.0, 1.0, 0.25, SimilarityType.TYPE_III)
         prof = barenblatt_pme(2.0, 1.0, 1.0)
