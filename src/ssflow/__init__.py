@@ -2,9 +2,10 @@
 
 ``params``, ``equivalence`` and ``errors`` are scalar algebra and load with the
 package.  ``integrator``, ``phase_plane`` and ``solutions`` and their names
-load on first access (PEP 562).  The first two are numpy-backed; ``solutions``
-runs on Python floats.  So a process that only maps parameters, computes
-coefficients or samples a closed-form profile never imports numpy.
+load on first access (PEP 562).  Every module runs on Python floats and
+``math``: a ``Trajectory`` stores its nodes as floats and builds its numpy
+arrays (``r1``, ``states``, ``derivs``) only when they are first read, so
+numpy is imported by nothing but that read.
 """
 
 from importlib import import_module as _import_module

@@ -1,9 +1,7 @@
-"""Value records shared by the scalar and the numpy-backed modules.
+"""Value records shared by the modules.
 
 A radial profile sample, and the pass/fail record of one named check with
-the worst-deviation rule that builds it.  Nothing here loads numpy, so
-``explicit`` can sample a closed form and judge its residual on Python
-floats alone.
+the worst-deviation rule that builds it, on Python floats alone.
 """
 
 from __future__ import annotations

@@ -34,9 +34,10 @@ from .params import (
     unified_coefficients,
 )
 
-# numpy loads only with the modules that need it, imported inside the commands
-# that use them: `map` and `coeffs` run on the scalar modules above, and
-# `explicit` on them and `solutions`.
+# No command imports numpy: `map` and `coeffs` run on the scalar modules above,
+# and the others import `integrator`, `phase_plane`, `solutions` or `verify`
+# inside the command, all of which run on Python floats.  numpy loads only when
+# a caller reads a Trajectory's arrays (`r1`, `states`, `derivs`).
 
 _EXIT_CODES = {"ok": 0, "error": 1, "fail": 2}
 
@@ -216,7 +217,7 @@ def _integrate_from_args(args):
 
 def cmd_integrate(args) -> int:
     _, _, traj = _integrate_from_args(args)
-    _csv_out(("r1", "psi", "phi"), zip(traj.r1, traj.states[:, 0], traj.states[:, 1]), args.out)
+    _csv_out(("r1", "psi", "phi"), ((r, psi, phi) for r, (psi, phi) in zip(traj.grid, traj.points)), args.out)
     return 0
 
 
@@ -224,7 +225,7 @@ def cmd_profile(args) -> int:
     from .phase_plane import reconstruct_profile, state_to_profile
 
     params, coeffs, traj = _integrate_from_args(args)
-    anchor = state_to_profile(traj.states[0], args.anchor_eta, params, coeffs)
+    anchor = state_to_profile(traj.points[0], args.anchor_eta, params, coeffs)
     samples = reconstruct_profile(traj, params, anchor)
     _csv_out(("eta", "f", "fprime"), ((s.eta, s.f, s.fprime) for s in samples), args.out)
     return 0

@@ -5,18 +5,21 @@ every trajectory computation in the package.  The systems here are polynomial
 and non-stiff away from blow-up, so no implicit machinery is needed; a
 divergence guard stops orbits that reach the quadratic blow-up instead.
 The step runs on Python floats: its stage and error sums are plain left-to-right
-sums, so no trajectory depends on the BLAS that numpy loads.
+sums, and the accepted nodes go into the ``Trajectory`` as the same float pairs,
+so integrating imports no numpy and no trajectory depends on a BLAS.
 
 Stopping events are threshold crossings of one state component, located by
-bisection on the cubic Hermite interpolant of the accepted step.
+bisection on the cubic Hermite interpolant of the accepted step;
+``compare_trajectories`` evaluates the same interpolant in one walk over each
+orbit's nodes.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import groupby
 
 from .errors import ComparisonError, DomainError, IntegrationFailure
 from .phase_plane import Trajectory
@@ -38,7 +41,8 @@ _A = (
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 # The sums of stages 2-7 and the error sum, as (j, a_j) pairs over the stored
-# slopes k[j]; zero entries are left out, which changes no sum (each starts at +0.0).
+# slopes k[j]; zero entries are left out, which changes no sum because each starts
+# at +0.0 (a -0.0 start moves stored bytes: test_stage_sums_start_at_positive_zero).
 _ROWS = tuple(tuple((j, a) for j, a in enumerate(row) if a != 0.0) for row in _A[1:] + (_E,))
 
 
@@ -78,7 +82,7 @@ class IntegrationSettings:
 
 
 def _hermite(theta, h, y0, f0, y1, f1):
-    """Cubic Hermite value on one step, theta in [0, 1]; scalars or arrays alike."""
+    """Cubic Hermite value of one component on one step, theta in [0, 1]."""
     t2 = theta * theta
     t3 = t2 * theta
     h00 = 2 * t3 - 3 * t2 + 1
@@ -114,6 +118,18 @@ def _locate_event(ev, h, y0, f0, y1, f1):
     return 0.5 * (lo + hi)
 
 
+def _finite_pair(value) -> tuple[float, float] | None:
+    """``value`` as a pair of finite floats, or None when it is not one (a string is not)."""
+    if isinstance(value, (str, bytes)):
+        return None
+    try:
+        a, b = value
+        a, b = float(a), float(b)
+    except (TypeError, ValueError):
+        return None
+    return (a, b) if math.isfinite(a) and math.isfinite(b) else None
+
+
 def _not_a_pair(value, state) -> DomainError:
     return DomainError(f"rhs must give a pair, got {value!r} at {state}")
 
@@ -130,9 +146,10 @@ def integrate(rhs, y0, span, settings: IntegrationSettings | None = None) -> Tra
     ``rhs_evals``.  Termination: the end of the span (status "completed"), a
     stop event ("event"), the step budget ("truncated"), or the divergence
     guard ("diverged").  Non-finite values from ``rhs`` that persist as the
-    step shrinks raise IntegrationFailure carrying the partial trajectory.  A ``y0``
-    (before any ``rhs`` call) or ``rhs(y0)`` that is not a finite pair raises DomainError,
-    and so does a later ``rhs`` value that is not a pair.
+    step shrinks raise IntegrationFailure carrying the partial trajectory.  ``y0`` is
+    any pair of reals (tuple, list, numpy row, ``PhaseState``).  A ``y0`` (before any
+    ``rhs`` call) or ``rhs(y0)`` that is not a finite pair raises DomainError, and so
+    does a later ``rhs`` value that is not a pair.
     """
     settings = settings or IntegrationSettings()
     r0, r_end = float(span[0]), float(span[1])
@@ -144,16 +161,16 @@ def integrate(rhs, y0, span, settings: IntegrationSettings | None = None) -> Tra
     rel_tol, abs_tol, max_step = settings.rel_tol, settings.abs_tol, settings.max_step
     max_steps, stop_events = settings.max_steps, settings.stop_events
 
-    y = np.array(y0, dtype=float).ravel()
-    if y.shape != (2,) or not np.isfinite(y).all():
+    start = _finite_pair(y0)
+    if start is None:
         raise DomainError(f"y0 must be a finite pair, got {y0!r}")
-    y0, y1 = y.tolist()
-    f = np.array(rhs((y0, y1)), dtype=float)
-    if f.shape != (2,) or not np.isfinite(f).all():
-        raise DomainError(f"rhs must give a finite pair at the initial state {y}, got {f}")
-    f0, f1 = f.tolist()
+    value = rhs(start)
+    slope = _finite_pair(value)
+    if slope is None:
+        raise DomainError(f"rhs must give a finite pair at the initial state {start}, got {value!r}")
+    (y0, y1), (f0, f1) = start, slope
 
-    rs, ys, fs = [r0], [(y0, y1)], [(f0, f1)]
+    rs, ys, fs = [r0], [start], [slope]
     meta = {"settings": settings}
     h = direction * min(max_step, abs(r_end - r0) / 100.0, 0.1)
     r = r0
@@ -164,7 +181,7 @@ def integrate(rhs, y0, span, settings: IntegrationSettings | None = None) -> Tra
 
     def result(status):
         meta.update(accepted=accepted, rejected=rejected, rhs_evals=evals)
-        return Trajectory(np.array(rs), np.array(ys), np.array(fs), status=status, meta=meta)
+        return Trajectory(rs, ys, fs, status=status, meta=meta)
 
     while True:
         if accepted >= max_steps:
@@ -252,17 +269,36 @@ def integrate(rhs, y0, span, settings: IntegrationSettings | None = None) -> Tra
         h *= factor
 
 
-def _interp_states(traj: Trajectory, grid: np.ndarray) -> np.ndarray:
-    """Cubic Hermite interpolation of a trajectory at points inside its range."""
-    order = np.argsort(traj.r1)
-    r1, y, f = traj.r1[order], traj.states[order], traj.derivs[order]
-    if len(r1) == 1:
-        return y
-    i0 = np.clip(np.searchsorted(r1, grid, side="right") - 1, 0, len(r1) - 2)
-    i1 = i0 + 1
-    h = (r1[i1] - r1[i0])[:, None]
-    theta = (grid - r1[i0])[:, None] / h
-    return _hermite(theta, h, y[i0], f[i0], y[i1], f[i1])
+def _hermite_walk(traj: Trajectory, grid: list[float]) -> list[tuple[float, float]]:
+    """Cubic Hermite states of ``traj`` at the ascending ``grid``, which lies in its range.
+
+    A point g takes the step from the last node at or below g (the final step at the
+    last node), so a node of ``traj`` is the start of its step, with theta = 0.
+    """
+    r, ys, fs = traj.grid, traj.points, traj.slopes
+    if r[0] > r[-1]:
+        r, ys, fs = r[::-1], ys[::-1], fs[::-1]
+    if len(r) == 1:
+        return [ys[0]] * len(grid)
+    out = []
+    j, count, last = 0, len(grid), len(r) - 2
+    i = min(max(bisect_right(r, grid[0]) - 1, 0), last)
+    while j < count:
+        r0, r1 = r[i], r[i + 1]
+        h = r1 - r0
+        (y0, z0), (f0, e0), (y1, z1), (f1, e1) = ys[i], fs[i], ys[i + 1], fs[i + 1]
+        while j < count and (grid[j] < r1 or i == last):
+            theta = (grid[j] - r0) / h
+            j += 1
+            t2 = theta * theta
+            t3 = t2 * theta
+            h00 = 2 * t3 - 3 * t2 + 1
+            h10 = (t3 - 2 * t2 + theta) * h
+            h01 = -2 * t3 + 3 * t2
+            h11 = (t3 - t2) * h
+            out.append((h00 * y0 + h10 * f0 + h01 * y1 + h11 * f1, h00 * z0 + h10 * e0 + h01 * z1 + h11 * e1))
+        i += 1
+    return out
 
 
 def compare_trajectories(a: Trajectory, b: Trajectory) -> float:
@@ -274,11 +310,18 @@ def compare_trajectories(a: Trajectory, b: Trajectory) -> float:
     """
     if len(a) == 0 or len(b) == 0:
         raise ComparisonError("cannot compare an empty trajectory")
-    lo = max(a.r1.min(), b.r1.min())
-    hi = min(a.r1.max(), b.r1.max())
+    lo = max(min(a.grid), min(b.grid))
+    hi = min(max(a.grid), max(b.grid))
     if lo > hi:
         raise ComparisonError(f"trajectory ranges do not overlap: [{lo}, {hi}] is empty")
-    grid = np.union1d(a.r1, b.r1)
-    grid = grid[(grid >= lo) & (grid <= hi)]
-    d = _interp_states(a, grid) - _interp_states(b, grid)
-    return float(np.max(np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])))
+    # sorted() merges the two monotone runs; groupby drops a node the grids share
+    grid = [g for g, _ in groupby(sorted(a.grid + b.grid)) if lo <= g <= hi]
+    worst = 0.0
+    for (u0, u1), (v0, v1) in zip(_hermite_walk(a, grid), _hermite_walk(b, grid)):
+        d0, d1 = u0 - v0, u1 - v1
+        dev = math.sqrt(d0 * d0 + d1 * d1)
+        if math.isnan(dev):
+            return dev
+        if dev > worst:
+            worst = dev
+    return worst

@@ -17,11 +17,12 @@ the Yamabe case.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
-
-import numpy as np
 
 from ._records import ProfileSample, _check_positive
 from .errors import (
@@ -65,43 +66,82 @@ class NativeStatePLE(NamedTuple):
     y: float
 
 
+def _float_pairs(rows, name: str) -> tuple:
+    """``rows`` as a tuple of (float, float) tuples; a row that already is one is kept, not copied."""
+    if hasattr(rows, "tolist"):  # an ndarray hands over its rows as lists of Python floats
+        rows = rows.tolist()
+    try:
+        pairs = tuple(map(tuple, rows))
+    except TypeError:
+        raise SsflowError(f"trajectory {name} must be pairs") from None
+    if set(map(len, pairs)) - {2}:
+        raise SsflowError(f"trajectory {name} must be pairs")
+    if set(map(type, chain.from_iterable(pairs))) - {float}:  # ints, numpy scalars: convert each once
+        values = tuple(map(float, chain.from_iterable(pairs)))
+        pairs = tuple(zip(values[0::2], values[1::2]))
+    return pairs
+
+
+def _array(values, *shape):
+    import numpy as np  # the first numpy import of a process that reads arrays
+
+    array = np.fromiter(values, dtype=float).reshape(shape)
+    array.flags.writeable = False  # the floats stay the data; an edited view would silently disagree
+    return array
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """An integrated orbit: strictly monotone independent variable, 2d states.
 
-    ``derivs`` stores the right-hand side at each node (used for cubic Hermite
-    interpolation); ``status`` is one of completed / event / diverged /
+    ``grid`` holds the independent variable as floats, ``points`` the states and
+    ``slopes`` the right-hand side at each node (used for cubic Hermite
+    interpolation) as (float, float) pairs; rows of any pair-like type or
+    numpy arrays are converted once.  ``r1``, ``states`` and ``derivs`` are the
+    same data as read-only numpy arrays of shape (N,), (N, 2) and (N, 2),
+    built on first read.  ``status`` is one of completed / event / diverged /
     truncated; ``meta`` holds the integrator's ``settings``, ``accepted``, ``rejected``,
     ``rhs_evals`` and fired stop ``event`` (mapped orbits add ``system``, ``mapped_from``).
     """
 
-    r1: np.ndarray
-    states: np.ndarray
-    derivs: np.ndarray
+    grid: tuple[float, ...]
+    points: tuple[tuple[float, float], ...]
+    slopes: tuple[tuple[float, float], ...]
     status: str = "completed"
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        r1 = np.asarray(self.r1, dtype=float)
-        states = np.asarray(self.states, dtype=float).reshape(-1, 2)
-        derivs = np.asarray(self.derivs, dtype=float).reshape(-1, 2)
-        object.__setattr__(self, "r1", r1)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "derivs", derivs)
-        if not (len(r1) == len(states) == len(derivs)):
+        grid = self.grid.tolist() if hasattr(self.grid, "tolist") else self.grid
+        grid = tuple(map(float, grid))
+        points, slopes = _float_pairs(self.points, "states"), _float_pairs(self.slopes, "derivs")
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "slopes", slopes)
+        if not (len(grid) == len(points) == len(slopes)):
             raise SsflowError("trajectory arrays must have equal length")
-        if len(r1) and not (np.isfinite(r1).all() and np.isfinite(states).all()):
+        if not all(map(math.isfinite, chain(grid, chain.from_iterable(points)))):
             raise SsflowError("trajectory grid and states must be finite")
-        if len(r1) > 1:
-            d = np.diff(r1)
-            if not (np.all(d > 0.0) or np.all(d < 0.0)):
-                raise SsflowError("trajectory grid must be strictly monotone")
+        later = grid[1:]
+        if later and not (all(map(operator.lt, grid, later)) or all(map(operator.gt, grid, later))):
+            raise SsflowError("trajectory grid must be strictly monotone")
 
     def __len__(self) -> int:
-        return len(self.r1)
+        return len(self.grid)
+
+    @cached_property
+    def r1(self):
+        return _array(self.grid, -1)
+
+    @cached_property
+    def states(self):
+        return _array(chain.from_iterable(self.points), -1, 2)
+
+    @cached_property
+    def derivs(self):
+        return _array(chain.from_iterable(self.slopes), -1, 2)
 
     @property
-    def final_state(self) -> np.ndarray:
+    def final_state(self):
         return self.states[-1]
 
 
@@ -170,10 +210,14 @@ def unified_system(coeffs: UnifiedCoefficients):
 # ----------------------------------------------------------------------
 
 
-def _pme_forward(x, y, params: PMEParams, s, linear=False):
-    """Phi = (2 + (1-m)X)/sqrt|b|,  Psi = Y/|b| on components; ``linear`` drops the 2."""
-    shift = 0.0 if linear else 2.0
-    return y / (s * s), (shift + (1.0 - params.m) * x) / s
+def _pme_forward(params: PMEParams, s, linear=False):
+    """The map (X, Y) -> (Psi, Phi) = (Y/|b|, (2 + (1-m)X)/sqrt|b|); ``linear`` drops the 2."""
+    shift, one_minus_m, abs_b = 0.0 if linear else 2.0, 1.0 - params.m, s * s
+
+    def forward(x, y):
+        return y / abs_b, (shift + one_minus_m * x) / s
+
+    return forward
 
 
 def _pme_inverse(psi, phi, params: PMEParams, s):
@@ -181,14 +225,18 @@ def _pme_inverse(psi, phi, params: PMEParams, s):
     return (phi * s - 2.0) / (1.0 - params.m), (s * s) * psi
 
 
-def _ple_forward(x, y, params: PLEParams, s, linear=False):
-    """Psi = a X with a = 1/(|b|(p-1)),  Phi = k (gamma - n + alpha Y - beta X) with
-    k = -(p-2)/((p-1) sqrt|b|), on components; ``linear`` drops gamma - n."""
-    p = params.p
+def _ple_forward(params: PLEParams, s, linear=False):
+    """The map (X, Y) -> (Psi, Phi) = (a X, k (gamma - n + alpha Y - beta X)) with
+    a = 1/(|b|(p-1)) and k = -(p-2)/((p-1) sqrt|b|); ``linear`` drops gamma - n."""
+    p, alpha, beta = params.p, alpha_from(params), params.beta
     shift = 0.0 if linear else params.gamma - params.n
     a = 1.0 / (s * s * (p - 1.0))
     k = -(p - 2.0) / ((p - 1.0) * s)
-    return a * x, k * (shift + alpha_from(params) * y - params.beta * x)
+
+    def forward(x, y):
+        return a * x, k * (shift + alpha * y - beta * x)
+
+    return forward
 
 
 def _ple_inverse(psi, phi, params: PLEParams, s):
@@ -207,7 +255,7 @@ def _ple_inverse(psi, phi, params: PLEParams, s):
 def pme_to_unified(state, params: PMEParams) -> PhaseState:
     """Phi = (2 + (1-m)X)/sqrt|b|,  Psi = Y/|b|."""
     x, y = _pair(state)
-    return PhaseState(*_pme_forward(x, y, params, unified_coefficients(params).sqrt_abs_b))
+    return PhaseState(*_pme_forward(params, unified_coefficients(params).sqrt_abs_b)(x, y))
 
 
 def unified_to_pme(state, params: PMEParams) -> NativeStatePME:
@@ -224,7 +272,7 @@ def ple_to_unified(state, params: PLEParams) -> PhaseState:
     x, y = _pair(state)
     if not x > 0.0:
         raise OrientationError(f"the unified embedding needs X > 0, got X = {x}")
-    return PhaseState(*_ple_forward(x, y, params, unified_coefficients(params).sqrt_abs_b))
+    return PhaseState(*_ple_forward(params, unified_coefficients(params).sqrt_abs_b)(x, y))
 
 
 def unified_to_ple(state, params: PLEParams) -> NativeStatePLE:
@@ -284,11 +332,14 @@ def state_to_profile(state, eta: float, params, coeffs: UnifiedCoefficients | No
 
 def _map_trajectory(traj: Trajectory, params, forward, source: str) -> Trajectory:
     s = unified_coefficients(params).sqrt_abs_b
-    states = forward(traj.states[:, 0], traj.states[:, 1], params, s)
-    derivs = forward(traj.derivs[:, 0], traj.derivs[:, 1], params, s, linear=True)
+    state_map, slope_map = forward(params, s), forward(params, s, linear=True)
+    slopes = []
+    for dx, dy in traj.slopes:
+        dpsi, dphi = slope_map(dx, dy)
+        slopes.append((dpsi / s, dphi / s))
     meta = dict(traj.meta)
     meta.update(system="unified", mapped_from=source)
-    return Trajectory(s * traj.r1, np.column_stack(states), np.column_stack(derivs) / s,
+    return Trajectory([s * r for r in traj.grid], [state_map(x, y) for x, y in traj.points], slopes,
                       status=traj.status, meta=meta)
 
 
@@ -299,7 +350,7 @@ def pme_trajectory_to_unified(traj: Trajectory, params: PMEParams) -> Trajectory
 
 def ple_trajectory_to_unified(traj: Trajectory, params: PLEParams) -> Trajectory:
     """Map a native (X, Y) p-Laplacian trajectory in r to the unified plane."""
-    if np.any(traj.states[:, 0] <= 0.0):
+    if any(x <= 0.0 for x, _ in traj.points):
         raise OrientationError("the unified embedding needs X > 0 along the whole arc")
     return _map_trajectory(traj, params, _ple_forward, "ple_native_xy")
 
@@ -322,12 +373,12 @@ def reconstruct_profile(traj: Trajectory, params, anchor: ProfileSample) -> list
     if len(traj) == 0:
         return []
     coeffs = unified_coefficients(params)
-    r1, states = traj.r1.tolist(), traj.states.tolist()
+    r1, states = traj.grid, traj.points
 
     psi0, phi0 = states[0]
     mapped = profile_to_state(anchor, params)
     dist = math.hypot(mapped.psi - psi0, mapped.phi - phi0)
-    if dist > 1e-8 * max(1.0, float(np.linalg.norm(traj.states[0]))):
+    if dist > 1e-8 * max(1.0, math.hypot(psi0, phi0)):
         raise AnchorMismatchError(f"anchor maps to ({mapped.psi}, {mapped.phi}), first state is ({psi0}, {phi0})")
 
     samples = []

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import solutions
 from ._records import CheckResult, _Agg
 from .equivalence import (
@@ -175,7 +173,7 @@ def check_conjugacy() -> CheckResult:
             for y0 in points:
                 nat = integrate(native_system(params), y0, (0.0, span / coeffs.sqrt_abs_b), sett)
                 mapped = to_unified(nat, params)
-                uni = integrate(unified_system(coeffs), mapped.states[0], (0.0, span), sett)
+                uni = integrate(unified_system(coeffs), mapped.points[0], (0.0, span), sett)
                 agg.add(compare_trajectories(mapped, uni))
     return agg.result("conjugacy")
 
@@ -209,15 +207,21 @@ def check_yamabe_profiles() -> CheckResult:
     return agg.result("yamabe_profiles_on_curve")
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """numpy.linspace's points: i * step + start with step = (stop - start)/(num - 1), the last one stop."""
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [stop]
+
+
 def check_yamabe_slope_field() -> CheckResult:
     """The parabola is tangent to the unified field at 100 sample points."""
     agg = _Agg(1e-12)
     for n in (3.0, 4.0, 5.0):
         m_s = critical_exponents(n).m_s
         field = unified_system(unified_coefficients(PMEParams(m_s, n, 0.0, SimilarityType.TYPE_II)))
-        for phi in np.linspace(-2.0, 2.0, 100):
-            psi = yamabe_curve(n, float(phi))
-            dpsi, dphi = field((psi, float(phi)))
+        for phi in _linspace(-2.0, 2.0, 100):
+            psi = yamabe_curve(n, phi)
+            dpsi, dphi = field((psi, phi))
             # the curve has dPsi/dPhi = -n*phi/2; tangency kills this combination
             agg.add(dpsi + n * phi / 2.0 * dphi)
     return agg.result("yamabe_slope_field")
@@ -268,7 +272,7 @@ def check_line_trajectories() -> CheckResult:
             continue
         a1, a2 = line
         traj = integrate(unified_system(coeffs), (0.01, a1 * 0.01 + a2), (0.0, 5.0), sett)
-        agg.add(float(np.max(np.abs(traj.states[:, 1] - a1 * traj.states[:, 0] - a2))))
+        agg.add(max(abs(phi - a1 * psi - a2) for psi, phi in traj.points))
     return agg.result("line_trajectories")
 
 

@@ -333,7 +333,7 @@ class TestExplicitFalseSuccess:
 
 
 class TestImportBudget:
-    """No command loads SciPy; ``map``, ``coeffs`` and ``explicit`` do not load numpy either."""
+    """No command loads SciPy or numpy; numpy loads when a caller reads a Trajectory's arrays."""
 
     @staticmethod
     def _run_in_fresh_process(argv=None, modules="ssflow, ssflow.cli"):
@@ -370,10 +370,13 @@ class TestImportBudget:
             ["explicit", "--kind", "dipole-derivative-ple", "--p", "3", "--n", "1"],
             ["explicit", "--kind", "loewner-nirenberg-pme", "--n", "3"],
             ["explicit", "--kind", "yamabe-ple", "--n", "4"],
+            ["integrate", "--preset", "barenblatt-line"],
+            ["profile", "--preset", "yamabe-vertex"],
+            ["verify"],
         ],
         ids=["coeffs", "map-pme", "map-ple", "explicit-barenblatt", "explicit-barenblatt-ple",
              "explicit-dipole", "explicit-dipole-derivative", "explicit-loewner-nirenberg",
-             "explicit-yamabe"],
+             "explicit-yamabe", "integrate", "profile", "verify"],
     )
     def test_scalar_commands_leave_numpy_unloaded(self, argv):
         probe, _ = self._run_in_fresh_process(argv)
@@ -381,19 +384,22 @@ class TestImportBudget:
         assert probe["numpy"] is False
         assert probe["scipy"] is False
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["integrate", "--preset", "barenblatt-line"],
-            ["profile", "--preset", "yamabe-vertex"],
-            ["verify"],
-        ],
-        ids=["integrate", "profile", "verify"],
-    )
-    def test_numpy_commands_leave_scipy_unloaded(self, argv):
-        probe, _ = self._run_in_fresh_process(argv)
-        assert probe["rc"] == 0
-        assert probe["scipy"] is False
+    def test_trajectory_arrays_load_numpy_on_first_read(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            "import json, sys\n"
+            "from ssflow import integrate\n"
+            "traj = integrate(lambda y: (y[0] * y[1], 1.0), (1.0, 0.0), (0.0, 1.0))\n"
+            "before = 'numpy' in sys.modules\n"
+            "r1 = traj.r1\n"
+            "print(json.dumps({'before': before, 'after': 'numpy' in sys.modules, 'cached': traj.r1 is r1,\n"
+            "                  'type': type(r1).__module__ + '.' + type(r1).__name__}))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout) == {"before": False, "after": True, "cached": True, "type": "numpy.ndarray"}
 
     def test_dipole_derivative_profile_leaves_scipy_unloaded(self):
         probe, res = self._run_in_fresh_process(

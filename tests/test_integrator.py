@@ -9,8 +9,10 @@ from ssflow import (
     DomainError,
     IntegrationFailure,
     IntegrationSettings,
+    PhaseState,
     PLEParams,
     PMEParams,
+    SsflowError,
     StopEvent,
     Trajectory,
     compare_trajectories,
@@ -144,10 +146,96 @@ class TestIntegrate:
             StopEvent(component=2, bound=0.0)
 
 
+_GRID = [0.0, 0.25, 0.5, 1.0]
+_POINTS = [(0.5, -1.0), (0.75, -0.5), (1.0, 0.0), (2.0, 1.5)]
+_SLOPES = [(1.0, 2.0), (1.5, 2.5), (2.0, 3.0), (math.nan, 4.0)]
+
+
+def _refused_inputs():
+    """(grid, points, slopes) that a Trajectory must refuse, each as lists."""
+    cases = {
+        "short-grid": (_GRID[:3], _POINTS, _SLOPES),
+        "short-states": (_GRID, _POINTS[:3], _SLOPES),
+        "short-derivs": (_GRID, _POINTS, _SLOPES[:3]),
+        "non-monotone": ([0.0, 1.0, 0.5, 2.0], _POINTS, _SLOPES),
+        "repeated-node": ([0.0, 0.5, 0.5, 1.0], _POINTS, _SLOPES),
+    }
+    for bad in (math.nan, math.inf, -math.inf):
+        cases[f"grid-{bad}"] = (_GRID[:2] + [bad] + _GRID[3:], _POINTS, _SLOPES)
+        cases[f"states-{bad}"] = (_GRID, _POINTS[:1] + [(0.75, bad)] + _POINTS[2:], _SLOPES)
+    return cases
+
+
 class TestTrajectory:
+    """Floats are the data; ``r1``, ``states`` and ``derivs`` are read-only arrays of them built on first read."""
+
     def test_monotonicity_enforced(self):
         with pytest.raises(Exception):
             Trajectory(np.array([0.0, 1.0, 0.5]), np.zeros((3, 2)), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_lists_and_arrays_give_the_same_trajectory(self, direction):
+        grid = [direction * r for r in _GRID]
+        from_lists = Trajectory(grid, _POINTS, [list(f) for f in _SLOPES])
+        from_arrays = Trajectory(np.array(grid), np.array(_POINTS), np.array(_SLOPES))
+        for traj in (from_lists, from_arrays):
+            assert traj.grid == tuple(grid)
+            assert traj.points == tuple(_POINTS)
+            assert traj.slopes[:3] == tuple(_SLOPES[:3]) and math.isnan(traj.slopes[3][0])
+            assert {type(v) for v in traj.grid} == {float}
+            assert {type(row) for row in traj.points + traj.slopes} == {tuple}
+            assert {type(v) for row in traj.points + traj.slopes for v in row} == {float}
+        for name, shape in (("r1", (4,)), ("states", (4, 2)), ("derivs", (4, 2))):
+            a, b = getattr(from_lists, name), getattr(from_arrays, name)
+            assert a.shape == b.shape == shape
+            assert a.dtype == b.dtype == np.float64
+            assert a.tobytes() == b.tobytes()
+
+    def test_integer_and_numpy_scalar_values_become_floats(self):
+        traj = Trajectory([0, np.float32(0.5)], [(1, 2), np.array([3, 4])], [(np.int64(5), 6.0), (7, 8)])
+        assert traj.grid == (0.0, 0.5)
+        assert traj.points == ((1.0, 2.0), (3.0, 4.0))
+        assert {type(v) for row in traj.points + traj.slopes for v in (*row, *traj.grid)} == {float}
+
+    def test_float_pair_rows_are_kept(self):
+        points = [(0.5, 1.0), (0.25, 2.0)]
+        traj = Trajectory([0.0, 1.0], points, points)
+        assert all(kept is given for kept, given in zip(traj.points, points))
+
+    @pytest.mark.parametrize("case", _refused_inputs().values(), ids=_refused_inputs().keys())
+    def test_lists_and_arrays_are_refused_alike(self, case):
+        grid, points, slopes = case
+        for build in (list, np.array):
+            with pytest.raises(SsflowError):
+                Trajectory(build(grid), build(points), build(slopes))
+
+    def test_rows_that_are_not_pairs_refused(self):
+        with pytest.raises(SsflowError, match="pairs"):
+            Trajectory([0.0, 1.0], [(0.0, 1.0), (0.0, 1.0, 2.0)], [(0.0, 0.0), (0.0, 0.0)])
+
+    def test_non_finite_derivatives_accepted(self):
+        traj = Trajectory(_GRID, _POINTS, [(math.nan, math.inf)] * 4)
+        assert np.isnan(traj.derivs[:, 0]).all()
+
+    def test_empty_trajectory(self):
+        traj = Trajectory([], [], [])
+        assert len(traj) == 0
+        assert traj.r1.shape == (0,) and traj.states.shape == traj.derivs.shape == (0, 2)
+
+    def test_arrays_are_built_once_and_read_only(self):
+        traj = integrate(_gaussian_flow, (1.0, 0.0), (0.0, 1.0))
+        for name in ("r1", "states", "derivs"):
+            array = getattr(traj, name)
+            assert getattr(traj, name) is array
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        assert traj.states.tolist() == [list(p) for p in traj.points]
+        assert traj.final_state.tolist() == list(traj.points[-1])
+
+    def test_frozen(self):
+        traj = Trajectory(_GRID, _POINTS, _SLOPES)
+        with pytest.raises(AttributeError):
+            traj.grid = (0.0,)
 
 
 class TestCompareTrajectories:
@@ -306,6 +394,31 @@ class TestRhsContract:
         assert calls == event_row
 
 
+class TestStartContract:
+    """integrate reads y0 and rhs(y0) as pairs of floats, whatever pair type carries them."""
+
+    @pytest.mark.parametrize("span", [(0.0, 5.0), (0.0, -1.0)])
+    def test_y0_forms_give_identical_bytes(self, span):
+        rhs = unified_system(unified_coefficients(PME))
+        forms = [[0.01, 0.8], (0.01, 0.8), np.array([[0.01, 0.8]])[0], PhaseState(0.01, 0.8),
+                 (np.float64(0.01), 0.8)]
+        trajs = [integrate(rhs, y0, span) for y0 in forms]
+        for traj in trajs:
+            assert traj.points[0] == (0.01, 0.8)
+            assert traj.status == trajs[0].status
+            for name in ("r1", "states", "derivs"):
+                assert getattr(traj, name).tobytes() == getattr(trajs[0], name).tobytes()
+
+    @pytest.mark.parametrize(
+        "value",
+        [(math.inf, 0.0), (1.0, math.nan), (1.0, 2.0, 3.0), [[1.0, 2.0]], "12", None],
+        ids=["inf", "nan", "triple", "nested", "str", "none"],
+    )
+    def test_rhs_at_start_not_a_finite_pair_refused(self, value):
+        with pytest.raises(DomainError, match="initial state"):
+            integrate(lambda y: value, (0.0, 0.0), (0.0, 1.0))
+
+
 class TestNonFiniteInputs:
     @pytest.mark.parametrize(
         "kwargs",
@@ -331,8 +444,9 @@ class TestNonFiniteInputs:
 
     @pytest.mark.parametrize(
         "y0",
-        [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 0.0), (1.0, 2.0, 3.0), (1.0,), (), None],
-        ids=["inf", "-inf", "nan", "triple", "single", "empty", "none"],
+        [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 0.0), (1.0, 2.0, 3.0), (1.0,), (), None, "12", b"12",
+         (1j, 0.0)],
+        ids=["inf", "-inf", "nan", "triple", "single", "empty", "none", "str", "bytes", "complex"],
     )
     def test_y0_not_a_finite_pair_refused(self, y0):
         def rhs(y):
@@ -561,6 +675,10 @@ def _copysign_flow(y):
     return math.copysign(5e-324, y[0]), 1.0
 
 
+def _sign_of_psi_flow(y):
+    return -0.0, math.copysign(1.0, y[0])
+
+
 class TestScalarLoopBitIdentity:
     """The float step loop reproduces the array loop byte for byte."""
 
@@ -611,6 +729,135 @@ class TestScalarLoopBitIdentity:
     @pytest.mark.parametrize("span", [(0.0, 1.0), (0.0, -1.0)])
     def test_underflowed_first_stage_matches_reference(self, span):
         _assert_same_bytes(_copysign_flow, (-0.0, 0.0), span, IntegrationSettings(max_steps=20))
+
+    # psi stays a signed zero and dphi copies its sign, so a stage sum that started at
+    # -0.0 (phi at node 1: -1.785459634812323e-11 forward, 1.6318600093202318e-11 backward)
+    # would feed the opposite sign to the next stage
+    @pytest.mark.parametrize("span, phi1", [((0.0, 1.0), 4.6517142758712467e-10), ((0.0, -1.0), 0.009999999999999998)])
+    def test_stage_sums_start_at_positive_zero(self, span, phi1):
+        traj = integrate(_sign_of_psi_flow, (-0.0, 0.0), span)
+        assert traj.states[1][1] == phi1
+        _assert_same_bytes(_sign_of_psi_flow, (-0.0, 0.0), span, IntegrationSettings())
+
+
+def _ref_interp_states(traj, grid):
+    """Cubic Hermite interpolation of a trajectory at points inside its range, vectorised."""
+    order = np.argsort(traj.r1)
+    r1, y, f = traj.r1[order], traj.states[order], traj.derivs[order]
+    if len(r1) == 1:
+        return y
+    i0 = np.clip(np.searchsorted(r1, grid, side="right") - 1, 0, len(r1) - 2)
+    i1 = i0 + 1
+    h = (r1[i1] - r1[i0])[:, None]
+    theta = (grid - r1[i0])[:, None] / h
+    return _ref_hermite(theta, h, y[i0], f[i0], y[i1], f[i1])
+
+
+def _ref_compare(a, b):
+    """The numpy compare_trajectories that the merge walk replaced: union grid, searchsorted, np.max."""
+    lo = max(a.r1.min(), b.r1.min())
+    hi = min(a.r1.max(), b.r1.max())
+    grid = np.union1d(a.r1, b.r1)
+    grid = grid[(grid >= lo) & (grid <= hi)]
+    d = _ref_interp_states(a, grid) - _ref_interp_states(b, grid)
+    return float(np.max(np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])))
+
+
+def _assert_same_deviation(a, b):
+    dev, ref = compare_trajectories(a, b), _ref_compare(a, b)
+    assert dev.hex() == ref.hex() or (math.isnan(dev) and math.isnan(ref)), (dev, ref)
+    return dev
+
+
+def _seeded_pairs(seed, count):
+    """Orbit pairs with overlapping ranges: a second tolerance, a nudged start, or the reverse run."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < count:
+        c = rng.uniform(-2.0, 2.0, size=3).tolist()
+        rhs = unified_system(UnifiedCoefficients(c[0], c[1], c[2], 1.0, int(rng.choice((-1, 1))), 1))
+        y0 = tuple(rng.uniform(-1.0, 1.0, size=2).tolist())
+        span = (0.0, float(rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 4.0)))
+        fine = IntegrationSettings(rel_tol=10.0 ** rng.uniform(-11.0, -8.0), max_steps=600)
+        coarse = IntegrationSettings(rel_tol=10.0 ** rng.uniform(-7.0, -4.0), max_steps=600)
+        try:
+            a = integrate(rhs, y0, span, fine)
+            kind = len(pairs) % 3
+            if kind == 0:
+                b = integrate(rhs, y0, span, coarse)
+            elif kind == 1:
+                b = integrate(rhs, (y0[0] + 1e-4, y0[1]), span, coarse)
+            else:  # back from the end of a, so b's r1 runs the other way
+                b = integrate(rhs, a.points[-1], (a.grid[-1], a.grid[0]), coarse)
+        except IntegrationFailure:
+            continue
+        pairs.append((a, b))
+    return pairs
+
+
+class TestCompareOracle:
+    """compare_trajectories returns the float of the vectorised reference, bit for bit."""
+
+    def test_seeded_pairs_match_reference(self):
+        devs = [_assert_same_deviation(a, b) for a, b in _seeded_pairs(2007, 210)]
+        devs += [_assert_same_deviation(b, a) for a, b in _seeded_pairs(2008, 30)]
+        assert len(devs) == 240 and min(devs) > 0.0
+
+    def test_conjugacy_pairs_match_reference(self):
+        from ssflow import verify
+
+        captured = []
+
+        def capture(a, b):
+            captured.append((a, b))
+            return compare_trajectories(a, b)
+
+        original = verify.compare_trajectories
+        verify.compare_trajectories = capture
+        try:
+            verify.check_conjugacy()
+        finally:
+            verify.compare_trajectories = original
+        assert len(captured) == 20
+        for a, b in captured:
+            _assert_same_deviation(a, b)
+
+    @pytest.mark.parametrize("r", [0.0, 0.3, 1.0])
+    def test_single_node_trajectory(self, r):
+        rhs = unified_system(unified_coefficients(PME))
+        long = integrate(rhs, (0.01, 0.8), (0.0, 1.0))
+        node = dict(zip(long.grid, long.points)).get(r, (0.02, 0.7))
+        single = Trajectory([r], [node], [rhs(node)])
+        assert _assert_same_deviation(single, long) == _assert_same_deviation(long, single)
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_short_backward_trajectory(self, count):
+        rhs = unified_system(unified_coefficients(PME))
+        long = integrate(rhs, (0.01, 0.8), (0.0, 1.0))
+        short = integrate(rhs, long.points[-1], (1.0, 0.0), IntegrationSettings(max_steps=count - 1))
+        assert len(short) == count and short.grid[0] > short.grid[-1]
+        assert _assert_same_deviation(short, long) > 0.0
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_ranges_touching_at_one_node(self, backward):
+        rhs = unified_system(unified_coefficients(PME))
+        a = integrate(rhs, (0.01, 0.8), (0.0, 1.0))
+        b = integrate(rhs, (0.02, 0.7), (1.0, 2.0))
+        if backward:
+            b = integrate(rhs, (0.02, 0.7), (1.0, 0.5))
+            a = integrate(rhs, (0.01, 0.8), (0.5, 0.0))
+        for pair in ((a, b), (b, a)):
+            assert _assert_same_deviation(*pair) > 1e-3
+
+    def test_nan_derivatives_give_nan(self):
+        r1 = np.linspace(0.0, 1.0, 7)
+        states = np.column_stack([r1, r1 * r1])
+        for nan_at in (0, 3, 6):
+            derivs = np.ones((7, 2))
+            derivs[nan_at, 1] = np.nan
+            a = Trajectory(r1, states, derivs)
+            b = Trajectory(r1[::2] * 1.0, states[::2] + 1e-3, np.ones((4, 2)))
+            assert math.isnan(_assert_same_deviation(a, b))
 
 
 class TestKernelCounters:
