@@ -12,7 +12,7 @@ verify     the whole invariant suite on the default grid (JSON summary)
 Exit codes: 0 success, 1 usage or parameter error, 2 verification failure.
 CSV is UTF-8 with LF endings and 17 significant digits, so reparsing
 reproduces the in-memory doubles bit for bit.  ``SSFLOW_TOL`` overrides the
-identity tolerance used by ``verify`` and ``map``.
+identity tolerance used by ``verify`` and ``map``; it must satisfy 0 <= tol < inf.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import os
 import re
 import sys
 
-from .equivalence import Branch, ple_to_pme, pme_to_ple, verify_equivalence
-from .errors import IntegrationFailure, SsflowError
+from .equivalence import DEFAULT_IDENTITY_TOL, Branch, ple_to_pme, pme_to_ple, verify_equivalence
+from .errors import DomainError, IntegrationFailure, SsflowError
 from .params import (
     PLEParams,
     PMEParams,
@@ -95,12 +95,13 @@ def _csv_out(header: tuple[str, ...], rows, out: str | None) -> None:
 
 def _default_tol() -> float:
     raw = os.environ.get("SSFLOW_TOL", "")
-    if raw:
-        try:
-            return float(raw)
-        except ValueError:
-            raise SsflowError(f"SSFLOW_TOL is not a number: {raw!r}")
-    return 1e-10
+    try:
+        tol = float(raw) if raw else DEFAULT_IDENTITY_TOL
+    except ValueError:
+        raise SsflowError(f"SSFLOW_TOL is not a number: {raw!r}")
+    if not 0.0 <= tol < math.inf:  # refuses NaN, which fails every check, and inf, which passes them all
+        raise DomainError(f"SSFLOW_TOL must be non-negative and finite, got {raw!r}")
+    return tol
 
 
 def _params_from_args(args) -> PMEParams | PLEParams:

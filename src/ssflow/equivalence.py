@@ -29,6 +29,8 @@ from .params import PLEParams, PMEParams, _is_critical, critical_exponents, unif
 # Band around the excluded values m_c / p_c inside which the maps refuse to run.
 _EXCLUSION_TOL = 1e-12
 
+DEFAULT_IDENTITY_TOL = 1e-10  # the coefficient identities' tolerance unless a caller or SSFLOW_TOL sets one
+
 
 class Branch(Enum):
     BRANCH1 = 1
@@ -186,7 +188,7 @@ def _rel_dev(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def verify_equivalence(pme: PMEParams, ple: PLEParams, tol: float = 1e-10) -> EquivalenceReport:
+def verify_equivalence(pme: PMEParams, ple: PLEParams, tol: float = DEFAULT_IDENTITY_TOL) -> EquivalenceReport:
     """Check every coefficient identity for a matched parameter pair.
 
     Reports the field-wise coefficient match, beta^2 (n-2)^2 = (beta' n')^2,

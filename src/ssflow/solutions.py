@@ -109,7 +109,6 @@ def _geomspace(lo: float, hi: float, count: int) -> list[float]:
     return [lo, *(10.0 ** (i * step + a) for i in range(1, count - 1)), hi]
 
 
-@lru_cache(maxsize=256)
 def _power_law(A: float, q: float, L: float, c: float, E: float, e: float):
     """g = A eta^q (L - c eta^E)^e, its first two derivatives and its support.
 
@@ -118,9 +117,7 @@ def _power_law(A: float, q: float, L: float, c: float, E: float, e: float):
     Each of the three evaluators has one domain policy: eta < 0 raises
     DomainError; at eta = 0 a negative power of eta raises
     SingularEvaluationError and any other formula returns its value; eta at or
-    beyond the free boundary (w = 0) raises OutsideSupportError.  The closures
-    are pure functions of the six numbers, so profiles built again with the
-    same constants (every ``verify`` run) share them.
+    beyond the free boundary (w = 0) raises OutsideSupportError.
     """
     if c <= 0.0:
         support = (0.0, math.inf)

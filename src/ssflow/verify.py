@@ -13,6 +13,7 @@ import math
 from . import solutions
 from ._records import CheckResult, _Agg
 from .equivalence import (
+    DEFAULT_IDENTITY_TOL,
     Branch,
     coefficient_deviation,
     ple_preimage_dimensions,
@@ -23,7 +24,7 @@ from .equivalence import (
 )
 from .errors import UnphysicalDimensionError
 from .integrator import IntegrationSettings, compare_trajectories, integrate
-from .params import PLEParams, PMEParams, SimilarityType, _is_critical, critical_exponents, unified_coefficients
+from .params import PLEParams, PMEParams, SimilarityType, critical_exponents, unified_coefficients
 from .phase_plane import (
     line_betas_ple,
     line_betas_pme,
@@ -52,40 +53,38 @@ CONJUGACY_POINTS_PLE = {
 }
 
 
-def default_grid_cells(skipped: list[dict] | None = None):
-    """Yield valid (m, n, beta) cells; record precondition skips."""
+def default_grid_cells(skipped: list[dict]):
+    """Yield (m, n, betas, branches) for each grid (m, n) outside the critical band.
+
+    The band is ``unified_coefficients``' own, DEFAULT_CRITICAL_TOL around m_c.  ``branches``
+    have an image of positive dimension, whatever beta.  Each skip is recorded once.
+    """
     for m in GRID_M:
         for n in GRID_N:
-            if _is_critical(m, critical_exponents(n).m_c, 1e-9):
-                if skipped is not None:
-                    skipped.append({"m": m, "n": n, "reason": "m = m_c (critical)"})
+            base = PMEParams(m, n, 0.0)
+            if unified_coefficients(base).critical:
+                skipped.append({"m": m, "n": n, "reason": "m = m_c (critical)"})
                 continue
-            b1, b2 = line_betas_pme(m, n)
             betas = [0.0, 1.0]
-            for b in (b1, b2):
+            for b in line_betas_pme(m, n):
                 if b is not None and all(abs(b - x) > 1e-15 for x in betas):
                     betas.append(b)
-            for beta in betas:
-                yield m, n, beta
+            branches = []
+            for branch in (Branch.BRANCH1, Branch.BRANCH2):
+                try:
+                    pme_to_ple(base, branch)
+                    branches.append(branch)
+                except UnphysicalDimensionError as exc:
+                    skipped.append({"m": m, "n": n, "branch": branch.name, "reason": str(exc)})
+            yield m, n, betas, branches
 
 
-def _branch_images(params: PMEParams, skipped: list[dict] | None):
-    for branch in (Branch.BRANCH1, Branch.BRANCH2):
-        try:
-            yield branch, pme_to_ple(params, branch)
-        except UnphysicalDimensionError as exc:
-            if skipped is not None:
-                skipped.append(
-                    {"m": params.m, "n": params.n, "branch": branch.name, "reason": str(exc)}
-                )
+def check_identity_grid(cells: list[tuple], tol: float) -> list[CheckResult]:
+    """Coefficient identification, algebraic identities, and round trips on the grid's cells.
 
-
-def check_identity_grid(skipped: list[dict], tol_coeff: float = 1e-10) -> list[CheckResult]:
-    """Coefficient identification, algebraic identities, and round trips.
-
-    Cells and branches that fail a precondition of the maps are appended to ``skipped``.
+    Identities free of beta are sampled once per (m, n) or per (m, n, branch).
     """
-    coeff = _Agg(tol_coeff)
+    coeff = _Agg(tol)
     beta_id = _Agg(1e-12)
     b_ratio = _Agg(1e-12)
     sign_id = _Agg(1e-12)
@@ -94,44 +93,43 @@ def check_identity_grid(skipped: list[dict], tol_coeff: float = 1e-10) -> list[C
     roundtrip = _Agg(1e-10)
     line_cond = _Agg(1e-10)
 
-    for m, n, beta in default_grid_cells(skipped):
-        pme = PMEParams(m, n, beta)
-        ca = unified_coefficients(pme)
+    for m, n, betas, branches in cells:
         np1, np2 = pme_branch_dimensions(m, n)
         sum_np.add(1.0 / np1 + 1.0 / np2 - (1.0 - m) / (m + 1.0))
-        for branch, ple in _branch_images(pme, skipped):
-            cb = unified_coefficients(ple)
-            dev, _ = coefficient_deviation(ca, cb)
-            coeff.add(dev)
-            coeff.add(0.0 if ca.const_term == cb.const_term else 1.0)
-            coeff.add(0.0 if ca.psi_coeff == cb.psi_coeff else 1.0)
-
-            lhs = (beta * (n - 2.0)) ** 2
-            rhs = (ple.beta * ple.n) ** 2
-            beta_id.add((lhs - rhs) / max(1.0, abs(lhs)))
-            b_ratio.add(cb.b / ca.b - (ple.n / (n - 2.0)) ** 2)
-            sign_id.add(0.0 if ca.const_term == cb.const_term else 1.0)
-
+        base = PMEParams(m, n, 0.0)
+        images = [pme_to_ple(base, branch) for branch in branches]
+        for ple in images:
             n1, n2 = ple_preimage_dimensions(ple.p, ple.n)
             sum_n.add(1.0 / (n1 - 2.0) + 1.0 / (n2 - 2.0) - (1.0 - m) / (2.0 * m))
-
-            back = ple_to_pme(ple, branch)
-            roundtrip.add(abs(back.m - m) / max(1.0, abs(m)))
-            roundtrip.add(abs(back.n - n) / max(1.0, abs(n)))
-            roundtrip.add(abs(back.beta - beta) / max(1.0, abs(beta)))
-
         # Straight-line condition for the two line betas (needs sgn(b) = +1, Type I).
-        if ca.const_term == 1:
-            for lb in line_betas_pme(m, n):
-                if lb is None:
-                    continue
-                line_cond.add(line_condition_value(unified_coefficients(PMEParams(m, n, lb))))
-            for branch, ple in _branch_images(PMEParams(m, n, 0.0), None):
-                for lb in line_betas_ple(ple.p, ple.n):
-                    if lb is None:
-                        continue
-                    cc = unified_coefficients(type(ple)(ple.p, ple.n, lb))
-                    line_cond.add(line_condition_value(cc))
+        if unified_coefficients(base).const_term == 1:
+            lines = [PMEParams(m, n, lb) for lb in line_betas_pme(m, n) if lb is not None]
+            lines += [PLEParams(ple.p, ple.n, lb) for ple in images
+                      for lb in line_betas_ple(ple.p, ple.n) if lb is not None]
+            for params in lines:
+                line_cond.add(line_condition_value(unified_coefficients(params)))
+
+        for beta in betas:
+            pme = PMEParams(m, n, beta)
+            ca = unified_coefficients(pme)
+            for branch in branches:
+                ple = pme_to_ple(pme, branch)
+                cb = unified_coefficients(ple)
+                dev, _ = coefficient_deviation(ca, cb)
+                coeff.add(dev)
+                coeff.add(0.0 if ca.const_term == cb.const_term else 1.0)
+                coeff.add(0.0 if ca.psi_coeff == cb.psi_coeff else 1.0)
+
+                lhs = (beta * (n - 2.0)) ** 2
+                rhs = (ple.beta * ple.n) ** 2
+                beta_id.add((lhs - rhs) / max(1.0, abs(lhs)))
+                b_ratio.add(cb.b / ca.b - (ple.n / (n - 2.0)) ** 2)
+                sign_id.add(0.0 if ca.const_term == cb.const_term else 1.0)
+
+                back = ple_to_pme(ple, branch)
+                roundtrip.add(abs(back.m - m) / max(1.0, abs(m)))
+                roundtrip.add(abs(back.n - n) / max(1.0, abs(n)))
+                roundtrip.add(abs(back.beta - beta) / max(1.0, abs(beta)))
 
     return [
         coeff.result("coefficient_match"),
@@ -145,15 +143,16 @@ def check_identity_grid(skipped: list[dict], tol_coeff: float = 1e-10) -> list[C
     ]
 
 
-def check_verify_pairs(tol: float = 1e-10) -> CheckResult:
-    """verify_equivalence passes for every mapped pair of the grid."""
+def check_verify_pairs(cells: list[tuple], tol: float) -> CheckResult:
+    """verify_equivalence passes for every mapped pair of the grid's cells."""
     agg = _Agg(tol)
-    for m, n, beta in default_grid_cells(None):
-        pme = PMEParams(m, n, beta)
-        for _, ple in _branch_images(pme, None):
-            rep = verify_equivalence(pme, ple, tol)
-            agg.add(0.0 if rep.passed else 1.0)
-            agg.add(rep.c_max_rel_dev)
+    for m, n, betas, branches in cells:
+        for beta in betas:
+            pme = PMEParams(m, n, beta)
+            for branch in branches:
+                rep = verify_equivalence(pme, pme_to_ple(pme, branch), tol)
+                agg.add(0.0 if rep.passed else 1.0)
+                agg.add(rep.c_max_rel_dev)
     return agg.result("verify_equivalence_pairs")
 
 
@@ -286,12 +285,12 @@ def check_mass_conservation() -> CheckResult:
     return agg.result("mass_conservation")
 
 
-def run_default_verification(tol_identities: float | None = None) -> dict:
+def run_default_verification(tol_identities: float = DEFAULT_IDENTITY_TOL) -> dict:
     """Run the whole suite; returns the JSON-ready report dictionary."""
-    tol_id = 1e-10 if tol_identities is None else tol_identities
     skipped: list[dict] = []
-    checks = check_identity_grid(skipped, tol_coeff=tol_id)
-    checks.append(check_verify_pairs(tol=tol_id))
+    cells = list(default_grid_cells(skipped))
+    checks = check_identity_grid(cells, tol_identities)
+    checks.append(check_verify_pairs(cells, tol_identities))
     checks.append(check_conjugacy())
     checks.append(check_closed_forms())
     checks.append(check_yamabe_profiles())

@@ -203,6 +203,64 @@ class TestVerifyCommand:
         data = json.loads(res.stdout)
         assert data["status"] == "fail"
 
+    # critical_tol's rule, 0 <= tol < inf: inf passed every identity check, nan and -1 failed them all
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "argv", [("verify",), ("map", "--eq", "pme", "--m", "0.25", "--n", "3", "--beta", "1")], ids=["verify", "map"]
+    )
+    def test_tol_env_outside_range_is_a_domain_error(self, argv, tol):
+        res = run_cli(*argv, env={"SSFLOW_TOL": tol})
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        data = json.loads(res.stdout)
+        assert data["error"]["type"] == "DomainError"
+
+    def test_tol_env_zero_accepted(self):
+        res = run_cli("map", "--eq", "pme", "--m", "2", "--n", "1", "--beta", "0.25", env={"SSFLOW_TOL": "0"})
+        assert res.returncode == 0  # this pair's identities hold exactly
+        assert all(c["tol"] == 0.0 for c in json.loads(res.stdout)["checks"])
+
+
+class TestVerifyGrid:
+    # (m, n, branch) of each precondition skip, in the grid's order; branch None is a critical cell
+    SKIPPED = [
+        (-1.0 / 3.0, 3.0, "BRANCH1"), (-1.0 / 3.0, 4.0, "BRANCH1"), (-1.0 / 3.0, 5.0, "BRANCH1"),
+        (0.2, 1.0, "BRANCH1"), (0.25, 1.0, "BRANCH1"), (0.5, 1.0, "BRANCH1"), (0.5, 3.0, "BRANCH2"),
+        (0.5, 4.0, None), (2.0, 1.0, "BRANCH1"), (2.0, 3.0, "BRANCH2"), (2.0, 4.0, "BRANCH2"),
+        (2.0, 5.0, "BRANCH2"), (3.0, 1.0, "BRANCH1"), (3.0, 3.0, "BRANCH2"), (3.0, 4.0, "BRANCH2"),
+        (3.0, 5.0, "BRANCH2"),
+    ]
+
+    def test_each_skip_listed_once(self):
+        from ssflow.verify import run_default_verification
+
+        skipped = run_default_verification()["params"]["skipped"]
+        assert [(s["m"], s["n"], s.get("branch")) for s in skipped] == self.SKIPPED
+        for s in skipped:
+            critical = "branch" not in s
+            assert (s["reason"] == "m = m_c (critical)") is critical
+            assert critical or "non-positive dimension" in s["reason"]
+
+    def test_sample_counts(self, monkeypatch):
+        # identities free of beta are sampled once per (m, n) or per (m, n, branch), not per beta
+        from ssflow import verify
+
+        samples = {}
+
+        class Counting(verify._Agg):
+            def result(self, name):
+                samples[name] = self.samples
+                return super().result(name)
+
+        monkeypatch.setattr(verify, "_Agg", Counting)
+        verify.run_default_verification()
+        expected = {
+            "coefficient_match": 360, "beta_identity": 120, "b_ratio_identity": 120, "sign_match": 120,
+            "branch_sum_ple": 23, "branch_sum_pme": 31, "roundtrip": 360, "line_condition": 86,
+            "verify_equivalence_pairs": 240,
+        }
+        assert {name: samples[name] for name in expected} == expected
+
 
 class TestVerifyAggregation:
     def test_nan_deviation_fails(self):
