@@ -1,7 +1,7 @@
 """Value records shared by the modules.
 
-A radial profile sample, and the pass/fail record of one named check with
-the worst-deviation rule that builds it, on Python floats alone.
+A radial profile sample, the worst-deviation rule, and the pass/fail record
+of one named check that streams it, on Python floats alone.
 """
 
 from __future__ import annotations
@@ -29,6 +29,17 @@ class ProfileSample:
         _check_positive("eta", self.eta)
 
 
+def _worst(devs) -> float:
+    """The largest |dev| of ``devs``: 0.0 for none, and the first NaN, read no further, when there is one."""
+    worst = 0.0
+    for dev in map(abs, devs):
+        if dev > worst:
+            worst = dev
+        elif dev != dev:  # NaN
+            return dev
+    return worst
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -42,7 +53,7 @@ class CheckResult:
 
 @dataclass
 class _Agg:
-    """Running worst-deviation aggregator for one named check."""
+    """Running worst-deviation aggregator for one named check: ``_worst`` fed one value at a time."""
 
     tol: float
     max_dev: float = 0.0

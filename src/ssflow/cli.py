@@ -27,6 +27,7 @@ import sys
 from .equivalence import DEFAULT_IDENTITY_TOL, Branch, ple_to_pme, pme_to_ple, verify_equivalence
 from .errors import DomainError, IntegrationFailure, SsflowError
 from .params import (
+    DEFAULT_CRITICAL_TOL,
     PLEParams,
     PMEParams,
     SimilarityType,
@@ -277,8 +278,6 @@ def cmd_explicit(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_default_verification
 
-    if args.grid != "default":
-        raise SsflowError(f"unknown grid {args.grid!r}; only 'default' is available")
     report = run_default_verification(tol_identities=_default_tol())
     return _json_out(report, args.out)
 
@@ -316,7 +315,7 @@ def build_parser() -> _Parser:
 
     s = subs.add_parser("coeffs", help="unified phase-plane coefficients")
     _add_param_flags(s)
-    s.add_argument("--critical-tol", type=float, default=1e-9, dest="critical_tol")
+    s.add_argument("--critical-tol", type=float, default=DEFAULT_CRITICAL_TOL, dest="critical_tol")
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_coeffs)
 
@@ -348,7 +347,7 @@ def build_parser() -> _Parser:
     s.set_defaults(func=cmd_explicit)
 
     s = subs.add_parser("verify", help="run the full invariant suite")
-    s.add_argument("--grid", default="default")
+    s.add_argument("--grid", choices=("default",), default="default")
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_verify)
 

@@ -24,10 +24,7 @@ from .errors import (
     DimensionTwoError,
     UnphysicalDimensionError,
 )
-from .params import PLEParams, PMEParams, _is_critical, critical_exponents, unified_coefficients
-
-# Band around the excluded values m_c / p_c inside which the maps refuse to run.
-_EXCLUSION_TOL = 1e-12
+from .params import _EXCLUSION_TOL, PLEParams, PMEParams, _is_critical, critical_exponents, unified_coefficients
 
 DEFAULT_IDENTITY_TOL = 1e-10  # the coefficient identities' tolerance unless a caller or SSFLOW_TOL sets one
 

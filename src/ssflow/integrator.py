@@ -21,8 +21,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import groupby
 
+from ._records import _worst
 from .errors import ComparisonError, DomainError, IntegrationFailure
-from .phase_plane import Trajectory
+from .phase_plane import Trajectory, _pair
 
 # Orbits whose norm exceeds this are declared divergent (finite-r1 blow-up).
 OVERFLOW_GUARD = 1e12
@@ -81,15 +82,17 @@ class IntegrationSettings:
             raise DomainError("max_steps must be positive")
 
 
-def _hermite(theta, h, y0, f0, y1, f1):
-    """Cubic Hermite value of one component on one step, theta in [0, 1]."""
+def _hermite_weights(theta, h):
+    """The cubic Hermite weights (h00, h10 h, h01, h11 h) of y0, f0, y1, f1 at theta in [0, 1] of a step h."""
     t2 = theta * theta
     t3 = t2 * theta
-    h00 = 2 * t3 - 3 * t2 + 1
-    h10 = t3 - 2 * t2 + theta
-    h01 = -2 * t3 + 3 * t2
-    h11 = t3 - t2
-    return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
+    return 2 * t3 - 3 * t2 + 1, (t3 - 2 * t2 + theta) * h, -2 * t3 + 3 * t2, (t3 - t2) * h
+
+
+def _hermite(theta, h, y0, f0, y1, f1):
+    """Cubic Hermite value of one component on one step, theta in [0, 1]."""
+    h00, h10, h01, h11 = _hermite_weights(theta, h)
+    return h00 * y0 + h10 * f0 + h01 * y1 + h11 * f1
 
 
 def _locate_event(ev, h, y0, f0, y1, f1):
@@ -119,19 +122,12 @@ def _locate_event(ev, h, y0, f0, y1, f1):
 
 
 def _finite_pair(value) -> tuple[float, float] | None:
-    """``value`` as a pair of finite floats, or None when it is not one (a string is not)."""
-    if isinstance(value, (str, bytes)):
-        return None
+    """``value`` as a pair of finite floats by ``_pair``, or None when it is not one."""
     try:
-        a, b = value
-        a, b = float(a), float(b)
-    except (TypeError, ValueError):
+        a, b = _pair(value)
+    except DomainError:
         return None
     return (a, b) if math.isfinite(a) and math.isfinite(b) else None
-
-
-def _not_a_pair(value, state) -> DomainError:
-    return DomainError(f"rhs must give a pair, got {value!r} at {state}")
 
 
 def integrate(rhs, y0, span, settings: IntegrationSettings | None = None) -> Trajectory:
@@ -146,10 +142,12 @@ def integrate(rhs, y0, span, settings: IntegrationSettings | None = None) -> Tra
     ``rhs_evals``.  Termination: the end of the span (status "completed"), a
     stop event ("event"), the step budget ("truncated"), or the divergence
     guard ("diverged").  Non-finite values from ``rhs`` that persist as the
-    step shrinks raise IntegrationFailure carrying the partial trajectory.  ``y0`` is
-    any pair of reals (tuple, list, numpy row, ``PhaseState``).  A ``y0`` (before any
-    ``rhs`` call) or ``rhs(y0)`` that is not a finite pair raises DomainError, and so
-    does a later ``rhs`` value that is not a pair.
+    step shrinks raise IntegrationFailure carrying the partial trajectory.  ``y0`` and
+    every ``rhs`` value are pairs by the rule of ``phase_plane._pair``: anything that
+    unpacks into two real numbers (tuple, list, numpy row, ``PhaseState``), never a str,
+    bytes, complex or None.  A ``y0`` (before any ``rhs`` call) or ``rhs(y0)`` that is not
+    a finite pair raises DomainError, and so does a later ``rhs`` value that is not a pair
+    (except a 2-byte bytes at a stage, which the inline stage unpack reads as two ints).
     """
     settings = settings or IntegrationSettings()
     r0, r_end = float(span[0]), float(span[1])
@@ -212,12 +210,12 @@ def integrate(rhs, y0, span, settings: IntegrationSettings | None = None) -> Tra
             v = y1 + h * s1
             value = rhs((u, v))
             evals += 1
-            try:
+            try:  # inline rather than _pair: this runs six times per step
                 a, b = value
+                if not (math.isfinite(a) and math.isfinite(b)):
+                    break
             except (TypeError, ValueError):
-                raise _not_a_pair(value, (u, v)) from None
-            if not (math.isfinite(a) and math.isfinite(b)):
-                break
+                raise DomainError(f"rhs must give a pair of real numbers, got {value!r} at {(u, v)}") from None
             k0[i], k1[i] = float(a), float(b)
 
         if math.isnan(err_norm):  # something was not finite: halve the step
@@ -246,15 +244,11 @@ def integrate(rhs, y0, span, settings: IntegrationSettings | None = None) -> Tra
         if hit is not None:
             theta, ev = hit
             y_ev = (_hermite(theta, h, y0, f0, u, a), _hermite(theta, h, y1, f1, v, b))
-            value = rhs(y_ev)
+            slope = _pair(rhs(y_ev))
             evals += 1
-            try:
-                a, b = value
-            except (TypeError, ValueError):
-                raise _not_a_pair(value, y_ev) from None
             rs.append(r + theta * h)
             ys.append(y_ev)
-            fs.append((float(a), float(b)))
+            fs.append(slope)
             meta["event"] = ev
             return result("event")
 
@@ -281,23 +275,16 @@ def _hermite_walk(traj: Trajectory, grid: list[float]) -> list[tuple[float, floa
     if len(r) == 1:
         return [ys[0]] * len(grid)
     out = []
-    j, count, last = 0, len(grid), len(r) - 2
-    i = min(max(bisect_right(r, grid[0]) - 1, 0), last)
-    while j < count:
-        r0, r1 = r[i], r[i + 1]
-        h = r1 - r0
-        (y0, z0), (f0, e0), (y1, z1), (f1, e1) = ys[i], fs[i], ys[i + 1], fs[i + 1]
-        while j < count and (grid[j] < r1 or i == last):
-            theta = (grid[j] - r0) / h
-            j += 1
-            t2 = theta * theta
-            t3 = t2 * theta
-            h00 = 2 * t3 - 3 * t2 + 1
-            h10 = (t3 - 2 * t2 + theta) * h
-            h01 = -2 * t3 + 3 * t2
-            h11 = (t3 - t2) * h
-            out.append((h00 * y0 + h10 * f0 + h01 * y1 + h11 * f1, h00 * z0 + h10 * e0 + h01 * z1 + h11 * e1))
-        i += 1
+    last = len(r) - 2
+    i, r1 = min(max(bisect_right(r, grid[0]) - 1, 0), last) - 1, -math.inf  # the first point loads its step
+    for g in grid:
+        while g >= r1 and i < last:
+            i += 1
+            r0, r1 = r[i], r[i + 1]
+            h = r1 - r0
+            (y0, z0), (f0, e0), (y1, z1), (f1, e1) = ys[i], fs[i], ys[i + 1], fs[i + 1]
+        h00, h10, h01, h11 = _hermite_weights((g - r0) / h, h)
+        out.append((h00 * y0 + h10 * f0 + h01 * y1 + h11 * f1, h00 * z0 + h10 * e0 + h01 * z1 + h11 * e1))
     return out
 
 
@@ -316,12 +303,6 @@ def compare_trajectories(a: Trajectory, b: Trajectory) -> float:
         raise ComparisonError(f"trajectory ranges do not overlap: [{lo}, {hi}] is empty")
     # sorted() merges the two monotone runs; groupby drops a node the grids share
     grid = [g for g, _ in groupby(sorted(a.grid + b.grid)) if lo <= g <= hi]
-    worst = 0.0
-    for (u0, u1), (v0, v1) in zip(_hermite_walk(a, grid), _hermite_walk(b, grid)):
-        d0, d1 = u0 - v0, u1 - v1
-        dev = math.sqrt(d0 * d0 + d1 * d1)
-        if math.isnan(dev):
-            return dev
-        if dev > worst:
-            worst = dev
-    return worst
+    pairs = zip(_hermite_walk(a, grid), _hermite_walk(b, grid))
+    # sqrt is monotone and keeps NaN, so the root of the worst square is the worst deviation
+    return math.sqrt(_worst([(u0 - v0) * (u0 - v0) + (u1 - v1) * (u1 - v1) for (u0, u1), (v0, v1) in pairs]))

@@ -32,6 +32,10 @@ LINEAR_TOL = 1e-12
 # coefficients blow up like 1/sqrt|b| just outside it.
 DEFAULT_CRITICAL_TOL = 1e-9
 
+# Band around an excluded value (m_c, p_c, a vanishing exponent denominator) inside
+# which the dimension maps and the closed forms refuse to run.
+_EXCLUSION_TOL = 1e-12
+
 
 class SimilarityType(Enum):
     """Time dependence of the self-similar ansatz.

@@ -66,20 +66,28 @@ class NativeStatePLE(NamedTuple):
     y: float
 
 
-def _float_pairs(rows, name: str) -> tuple:
-    """``rows`` as a tuple of (float, float) tuples; a row that already is one is kept, not copied."""
-    if hasattr(rows, "tolist"):  # an ndarray hands over its rows as lists of Python floats
-        rows = rows.tolist()
+def _pair(value) -> tuple[float, float]:
+    """``value`` as a (float, float) pair: anything that unpacks into two real numbers.
+
+    A str or bytes (as the value or as a component), a complex, None or a non-pair raises DomainError.
+    """
     try:
-        pairs = tuple(map(tuple, rows))
-    except TypeError:
-        raise SsflowError(f"trajectory {name} must be pairs") from None
-    if set(map(len, pairs)) - {2}:
-        raise SsflowError(f"trajectory {name} must be pairs")
-    if set(map(type, chain.from_iterable(pairs))) - {float}:  # ints, numpy scalars: convert each once
-        values = tuple(map(float, chain.from_iterable(pairs)))
-        pairs = tuple(zip(values[0::2], values[1::2]))
-    return pairs
+        if isinstance(value, (str, bytes)):
+            raise TypeError
+        a, b = value
+        math.isfinite(a), math.isfinite(b)  # a TypeError unless both are real numbers
+    except (TypeError, ValueError):
+        raise DomainError(f"states and slopes are pairs of real numbers, not {value!r}") from None
+    return float(a), float(b)
+
+
+def _float_pairs(rows) -> tuple:
+    """``rows`` as a tuple of ``_pair``s; a row that already is a (float, float) tuple is kept, not copied."""
+    rows = tuple(rows.tolist() if hasattr(rows, "tolist") else rows)  # an ndarray's rows as lists of floats
+    if set(map(type, rows)) <= {tuple} and set(map(len, rows)) <= {2}:
+        if set(map(type, chain.from_iterable(rows))) <= {float}:
+            return rows
+    return tuple(map(_pair, rows))
 
 
 def _array(values, *shape):
@@ -96,12 +104,13 @@ class Trajectory:
 
     ``grid`` holds the independent variable as floats, ``points`` the states and
     ``slopes`` the right-hand side at each node (used for cubic Hermite
-    interpolation) as (float, float) pairs; rows of any pair-like type or
-    numpy arrays are converted once.  ``r1``, ``states`` and ``derivs`` are the
-    same data as read-only numpy arrays of shape (N,), (N, 2) and (N, 2),
-    built on first read.  ``status`` is one of completed / event / diverged /
-    truncated; ``meta`` holds the integrator's ``settings``, ``accepted``, ``rejected``,
-    ``rhs_evals`` and fired stop ``event`` (mapped orbits add ``system``, ``mapped_from``).
+    interpolation) as (float, float) pairs; other rows, grid nodes and numpy
+    arrays are converted once by the pair rule (``_pair``), and a str or bytes
+    grid is refused.  ``r1``, ``states`` and ``derivs`` are the same data as
+    read-only numpy arrays of shape (N,), (N, 2) and (N, 2), built on first read.
+    ``status`` is one of completed / event / diverged / truncated; ``meta`` holds
+    the integrator's ``settings``, ``accepted``, ``rejected``, ``rhs_evals`` and
+    fired stop ``event`` (mapped orbits add ``system``, ``mapped_from``).
     """
 
     grid: tuple[float, ...]
@@ -112,8 +121,15 @@ class Trajectory:
 
     def __post_init__(self):
         grid = self.grid.tolist() if hasattr(self.grid, "tolist") else self.grid
-        grid = tuple(map(float, grid))
-        points, slopes = _float_pairs(self.points, "states"), _float_pairs(self.slopes, "derivs")
+        try:
+            if isinstance(grid, (str, bytes)):  # iterates, but over characters or byte codes
+                raise TypeError
+            grid = tuple(grid)
+            if set(map(type, grid)) - {float}:  # ints, numpy scalars: each node through the pair rule
+                grid = tuple(r for r, _ in map(_pair, zip(grid, grid)))
+            points, slopes = _float_pairs(self.points), _float_pairs(self.slopes)
+        except TypeError:
+            raise DomainError("a trajectory is a sequence of real numbers and two sequences of pairs") from None
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "slopes", slopes)
@@ -143,11 +159,6 @@ class Trajectory:
     @property
     def final_state(self):
         return self.states[-1]
-
-
-def _pair(state) -> tuple[float, float]:
-    a, b = state
-    return float(a), float(b)
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
 
-from ._records import ProfileSample, _check_positive
+from ._records import ProfileSample, _check_positive, _worst
 from .errors import (
     CriticalError,
     DegenerateError,
@@ -44,6 +44,7 @@ from .errors import (
     SsflowError,
 )
 from .params import (
+    _EXCLUSION_TOL,
     PLEParams,
     PMEParams,
     SimilarityType,
@@ -173,7 +174,7 @@ def barenblatt_pme(m: float, n: float, C: float = 1.0) -> ClosedFormProfile:
     """
     _check_positive("C", C)
     denom = n * (m - 1.0) + 2.0
-    if abs(denom) < 1e-12:
+    if abs(denom) < _EXCLUSION_TOL:
         raise DegenerateError("n(m-1) + 2 = 0: the source-type exponent degenerates")
     beta1 = 1.0 / denom
     k = (m - 1.0) * beta1 / 2.0
@@ -191,7 +192,7 @@ def barenblatt_ple(p: float, n: float, C: float = 1.0) -> ClosedFormProfile:
     """
     _check_positive("C", C)
     denom = n * (p - 2.0) + p
-    if abs(denom) < 1e-12:
+    if abs(denom) < _EXCLUSION_TOL:
         raise DegenerateError("n(p-2) + p = 0: the source-type exponent degenerates")
     beta1 = 1.0 / denom
     A = (p - 2.0) / p * math.copysign(abs(beta1) ** (1.0 / (p - 1.0)), beta1)
@@ -210,7 +211,7 @@ def dipole_pme(m: float, n: float, K: float = 1.0) -> ClosedFormProfile:
     if m == 0.0:
         raise DegenerateError("m = 0 has no dipole profile of this form")
     crit = critical_exponents(n)
-    if _is_critical(m, crit.m_c, 1e-12):
+    if _is_critical(m, crit.m_c, _EXCLUSION_TOL):
         raise CriticalError("the dipole formula divides by b = 0 at m = m_c")
     params = PMEParams(m, n, 1.0 / (2.0 * m), SimilarityType.TYPE_I)  # refuses m = 1 before b divides by it
     b = 2.0 * n * (m - crit.m_c) / (m - 1.0)
@@ -233,7 +234,7 @@ def dipole_derivative_ple(p: float, n: float, c: float = 1.0) -> ClosedFormProfi
     if p == 0.0 or p == 1.0:
         raise DegenerateError(f"p = {p} has no derivative-primary profile of this form")
     crit = critical_exponents(n)
-    if _is_critical(p, crit.p_c, 1e-12):
+    if _is_critical(p, crit.p_c, _EXCLUSION_TOL):
         raise CriticalError("the derivative formula divides by b = 0 at p = p_c")
     params = PLEParams(p, n, 1.0 / p, SimilarityType.TYPE_I)  # refuses p = 2 before b divides by it
     b = p * (n + 1.0) * (p - crit.p_c) / ((p - 2.0) * (p - 1.0))
@@ -433,13 +434,7 @@ def max_residual(profile: ClosedFormProfile, count: int = 50) -> float:
         res = ple_residual
     else:
         raise TypeError("profile does not carry usable parameters")
-    worst = 0.0
-    for eta in profile.interior_points(count):
-        dev = abs(res(profile, params, eta))
-        if math.isnan(dev):
-            return dev
-        worst = max(worst, dev)
-    return worst
+    return _worst(res(profile, params, eta) for eta in profile.interior_points(count))
 
 
 def _check_time(sim_type: SimilarityType, t: float, T: Optional[float]) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from . import solutions
-from ._records import CheckResult, _Agg
+from ._records import CheckResult, _Agg, _worst
 from .equivalence import (
     DEFAULT_IDENTITY_TOL,
     Branch,
@@ -271,7 +271,7 @@ def check_line_trajectories() -> CheckResult:
             continue
         a1, a2 = line
         traj = integrate(unified_system(coeffs), (0.01, a1 * 0.01 + a2), (0.0, 5.0), sett)
-        agg.add(max(abs(phi - a1 * psi - a2) for psi, phi in traj.points))
+        agg.add(_worst(phi - a1 * psi - a2 for psi, phi in traj.points))
     return agg.result("line_trajectories")
 
 

@@ -429,12 +429,15 @@ class TestImportBudget:
             ["explicit", "--kind", "loewner-nirenberg-pme", "--n", "3"],
             ["explicit", "--kind", "yamabe-ple", "--n", "4"],
             ["integrate", "--preset", "barenblatt-line"],
+            ["integrate", "--preset", "yamabe-vertex"],
+            ["profile", "--preset", "barenblatt-line"],
             ["profile", "--preset", "yamabe-vertex"],
             ["verify"],
         ],
         ids=["coeffs", "map-pme", "map-ple", "explicit-barenblatt", "explicit-barenblatt-ple",
              "explicit-dipole", "explicit-dipole-derivative", "explicit-loewner-nirenberg",
-             "explicit-yamabe", "integrate", "profile", "verify"],
+             "explicit-yamabe", "integrate", "integrate-yamabe-vertex", "profile-barenblatt-line", "profile",
+             "verify"],
     )
     def test_scalar_commands_leave_numpy_unloaded(self, argv):
         probe, _ = self._run_in_fresh_process(argv)
@@ -667,6 +670,17 @@ class TestGoldenTrajectories:
     def test_bit_identical_regeneration(self, tmp_path, preset, golden):
         out = tmp_path / "out.csv"
         res = run_cli("integrate", "--preset", preset, "--out", str(out))
+        assert res.returncode == 0
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+    @pytest.mark.parametrize(
+        "preset,golden",
+        [("barenblatt-line", "profile_barenblatt_line.csv"), ("yamabe-vertex", "profile_yamabe_vertex.csv")],
+    )
+    def test_profile_bit_identical_regeneration(self, tmp_path, preset, golden):
+        # the reconstructed profile's bytes: the orbit of the integrate golden, mapped back node by node
+        out = tmp_path / "out.csv"
+        res = run_cli("profile", "--preset", preset, "--out", str(out))
         assert res.returncode == 0
         assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 

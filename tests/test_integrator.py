@@ -19,9 +19,14 @@ from ssflow import (
     integrate,
     ple_native_system_xy,
     pme_native_system,
+    pme_to_unified,
+    ple_to_unified,
+    state_to_profile,
     straight_line,
     unified_coefficients,
     unified_system,
+    unified_to_ple,
+    unified_to_pme,
 )
 from ssflow.params import UnifiedCoefficients
 
@@ -417,6 +422,98 @@ class TestStartContract:
     def test_rhs_at_start_not_a_finite_pair_refused(self, value):
         with pytest.raises(DomainError, match="initial state"):
             integrate(lambda y: value, (0.0, 0.0), (0.0, 1.0))
+
+
+# Values that are not a pair of real numbers, though some of them unpack into two items.
+_NOT_PAIRS = {"str": "12", "bytes": b"12", "str-items": ("1", "2"), "complex": (1j, 0.0), "none": None,
+              "single": (1.0,)}
+_STOP_AT_HALF = IntegrationSettings(stop_events=(StopEvent(0, 0.5, +1),))
+
+
+def _event_row_call():
+    """The number of the rhs call that gives the event row of a unit flow stopped at psi = 0.5."""
+    calls = 0
+
+    def flow(y):
+        nonlocal calls
+        calls += 1
+        return (1.0, 0.0)
+
+    assert integrate(flow, (0.0, 0.0), (0.0, 1.0), _STOP_AT_HALF).status == "event"
+    return calls
+
+
+class TestPairRule:
+    """One rule for a state pair: whatever unpacks into two real numbers, and nothing else, at every entry point."""
+
+    @pytest.mark.parametrize("value", _NOT_PAIRS.values(), ids=_NOT_PAIRS.keys())
+    def test_integrate_y0_refused(self, value):
+        with pytest.raises(DomainError):
+            integrate(_linear_flow, value, (0.0, 1.0))
+
+    @pytest.mark.parametrize("value", _NOT_PAIRS.values(), ids=_NOT_PAIRS.keys())
+    def test_rhs_at_start_refused(self, value):
+        with pytest.raises(DomainError, match="initial state"):
+            integrate(lambda y: value, (0.0, 0.0), (0.0, 1.0))
+
+    # A 2-byte bytes at a later stage still unpacks as two ints in the inline stage loop (CHANGES.md FOUND).
+    @pytest.mark.parametrize("value", [v for v in _NOT_PAIRS.values() if not isinstance(v, bytes)],
+                             ids=[k for k, v in _NOT_PAIRS.items() if not isinstance(v, bytes)])
+    def test_rhs_at_a_later_stage_refused(self, value):
+        with pytest.raises(DomainError, match="pair"):
+            integrate(lambda y: (1.0, 0.0) if y[0] < 0.5 else value, (0.0, 0.0), (0.0, 1.0))
+
+    @pytest.mark.parametrize("value", _NOT_PAIRS.values(), ids=_NOT_PAIRS.keys())
+    def test_rhs_at_the_event_row_refused(self, value):
+        event_row, calls = _event_row_call(), 0
+
+        def flow(y):
+            nonlocal calls
+            calls += 1
+            return value if calls == event_row else (1.0, 0.0)
+
+        with pytest.raises(DomainError, match="pair"):
+            integrate(flow, (0.0, 0.0), (0.0, 1.0), _STOP_AT_HALF)
+        assert calls == event_row
+
+    @pytest.mark.parametrize("value", _NOT_PAIRS.values(), ids=_NOT_PAIRS.keys())
+    @pytest.mark.parametrize("build", [list, np.array], ids=["list", "array"])
+    def test_trajectory_rows_refused(self, value, build):
+        good = build([(0.0, 1.0), (0.5, 2.0)])
+        for points, slopes in ((build([value, value]), good), (good, build([value, value]))):
+            with pytest.raises(SsflowError):
+                Trajectory([0.0, 1.0], points, slopes)
+
+    @pytest.mark.parametrize("value", _NOT_PAIRS.values(), ids=_NOT_PAIRS.keys())
+    @pytest.mark.parametrize("build", [lambda v: v, np.array], ids=["as-given", "array"])
+    def test_trajectory_grid_refused(self, value, build):
+        rows = [(0.0, 1.0), (0.5, 2.0)]
+        with pytest.raises(SsflowError):
+            Trajectory(build(value), rows, rows)
+
+    @pytest.mark.parametrize("value", _NOT_PAIRS.values(), ids=_NOT_PAIRS.keys())
+    @pytest.mark.parametrize(
+        "transform",
+        [
+            lambda s: pme_to_unified(s, PME),
+            lambda s: unified_to_pme(s, PME),
+            lambda s: ple_to_unified(s, PLEParams(3.0, 1.0, 1.0 / 3.0)),
+            lambda s: unified_to_ple(s, PLEParams(3.0, 1.0, 1.0 / 3.0)),
+            lambda s: state_to_profile(s, 1.0, PME),
+        ],
+        ids=["pme_to_unified", "unified_to_pme", "ple_to_unified", "unified_to_ple", "state_to_profile"],
+    )
+    def test_transforms_refuse(self, value, transform):
+        with pytest.raises(DomainError):
+            transform(value)
+
+    @pytest.mark.parametrize("state", [(2, 1), [0.5, np.float64(0.25)], np.array([0.5, 0.25]), PhaseState(0.5, 0.25)],
+                             ids=["ints", "list", "array", "phase-state"])
+    def test_real_pairs_accepted(self, state):
+        expected = tuple(map(float, state))
+        assert tuple(unified_to_pme(state, PME)) == tuple(unified_to_pme(expected, PME))
+        assert Trajectory([0, 1], [state, state], [state, state]).points == (expected, expected)
+        assert integrate(lambda y: state, state, (0.0, 1.0)).points[0] == expected
 
 
 class TestNonFiniteInputs:
