@@ -133,9 +133,9 @@ def _params_dict(params) -> dict:
 def _report_checks(rep) -> list[dict]:
     return [
         {"name": "coeff_match", "pass": rep.c_match, "max_dev": rep.c_max_rel_dev, "tol": rep.tol},
-        {"name": "beta_identity", "pass": rep.beta_identity, "max_dev": None, "tol": rep.tol},
-        {"name": "b_ratio", "pass": rep.b_ratio, "max_dev": None, "tol": rep.tol},
-        {"name": "sign_match", "pass": rep.sign_match, "max_dev": None, "tol": rep.tol},
+        {"name": "beta_identity", "pass": rep.beta_identity, "max_dev": rep.beta_dev, "tol": rep.tol},
+        {"name": "b_ratio", "pass": rep.b_ratio, "max_dev": rep.b_ratio_dev, "tol": rep.tol},
+        {"name": "sign_match", "pass": rep.sign_match, "max_dev": 0.0 if rep.sign_match else 1.0, "tol": rep.tol},
     ]
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from ._records import _worst
 from .errors import (
     CriticalError,
     DegenerateError,
@@ -36,38 +37,51 @@ class Branch(Enum):
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Outcome of checking all coefficient identities for a parameter pair.
+    """The coefficient identities of a parameter pair, each measured once by ``verify_equivalence``.
 
-    All booleans use the single tolerance stored in ``tol``;
-    ``c_max_rel_dev`` is the worst relative deviation over (c1, c2, c3),
-    taken in the better of the two orientations.  ``flipped`` records that
-    the match holds in the reversed orientation (Psi, Phi, r1) ->
-    (Psi, -Phi, -r1), which negates c2 and c3 together; one of the two
-    branch images always sits in that orientation because the dimension
-    quadratic squares the c3 identification.
+    ``c_max_rel_dev`` is the worst relative (c1, c2, c3) deviation in the better of the
+    two orientations, ``beta_dev`` and ``b_ratio_dev`` those of beta^2 (n-2)^2 = (beta' n')^2
+    and b'/b = n'^2/(n-2)^2; ``sign_match`` (sgn b = sgn b') and ``psi_match`` are discrete.
+    Each boolean is ``dev <= tol`` of its deviation, so a NaN fails.  ``flipped`` records
+    that the match holds in the reversed orientation (Psi, Phi, r1) -> (Psi, -Phi, -r1),
+    which negates c2 and c3 together; one of the two branch images always sits in that
+    orientation because the dimension quadratic squares the c3 identification.
     """
 
-    c_match: bool
     c_max_rel_dev: float
-    beta_identity: bool
-    b_ratio: bool
+    beta_dev: float
+    b_ratio_dev: float
     sign_match: bool
+    psi_match: bool
     tol: float
     flipped: bool = False
 
     @property
+    def c_match(self) -> bool:
+        return self.c_max_rel_dev <= self.tol and self.sign_match and self.psi_match
+
+    @property
+    def beta_identity(self) -> bool:
+        return self.beta_dev <= self.tol
+
+    @property
+    def b_ratio(self) -> bool:
+        return self.b_ratio_dev <= self.tol
+
+    @property
     def passed(self) -> bool:
-        return self.c_match and self.beta_identity and self.b_ratio and self.sign_match
+        return self.c_match and self.beta_identity and self.b_ratio
 
 
 def coefficient_deviation(ca, cb) -> tuple[float, bool]:
-    """Worst relative (c1, c2, c3) deviation over the two orientations.
+    """Worst relative (c1, c2, c3) deviation over the two orientations, by ``_worst``: a NaN is the worst.
 
     Returns the deviation and whether the reversed orientation (c2, c3
     negated on one side) was the matching one.
     """
-    same = max(_rel_dev(ca.c1, cb.c1), _rel_dev(ca.c2, cb.c2), _rel_dev(ca.c3, cb.c3))
-    flip = max(_rel_dev(ca.c1, cb.c1), _rel_dev(ca.c2, -cb.c2), _rel_dev(ca.c3, -cb.c3))
+    c1_dev = _rel_dev(ca.c1, cb.c1)
+    same = _worst((c1_dev, _rel_dev(ca.c2, cb.c2), _rel_dev(ca.c3, cb.c3)))
+    flip = _worst((c1_dev, _rel_dev(ca.c2, -cb.c2), _rel_dev(ca.c3, -cb.c3)))
     if flip < same:
         return flip, True
     return same, False
@@ -186,10 +200,10 @@ def _rel_dev(a: float, b: float) -> float:
 
 
 def verify_equivalence(pme: PMEParams, ple: PLEParams, tol: float = DEFAULT_IDENTITY_TOL) -> EquivalenceReport:
-    """Check every coefficient identity for a matched parameter pair.
+    """Measure every coefficient identity of a matched parameter pair, the one place they are computed.
 
-    Reports the field-wise coefficient match, beta^2 (n-2)^2 = (beta' n')^2,
-    b'/b = n'^2/(n-2)^2 and sgn(b) = sgn(b').
+    Reports the relative deviations of (c1, c2, c3), beta^2 (n-2)^2 = (beta' n')^2
+    and b'/b = n'^2/(n-2)^2 (each by ``_rel_dev``), sgn(b) = sgn(b') and the Psi coefficient.
     Refuses critical parameters (the ratio identities divide by b) and the
     porous-medium sources the maps refuse (n = 2, m = -1).
     """
@@ -197,28 +211,16 @@ def verify_equivalence(pme: PMEParams, ple: PLEParams, tol: float = DEFAULT_IDEN
     cb = unified_coefficients(ple)
     if ca.critical or cb.critical:
         raise CriticalError("identity checks divide by b; critical parameters refused")
-    pme_branch_dimensions(pme.m, pme.n)  # the maps' guards on the source (n = 2, m = m_c)
+    _guard_pme_source(pme.m, pme.n, Branch.BRANCH2)  # the maps' guards on the source (n = 2, m = m_c; m = 0 maps)
     _guard_p_zero(pme.m)
 
     c_max, flipped = coefficient_deviation(ca, cb)
-    c_match = c_max <= tol and ca.const_term == cb.const_term and ca.psi_coeff == cb.psi_coeff
-
-    lhs = (pme.beta * (pme.n - 2.0)) ** 2
-    rhs = (ple.beta * ple.n) ** 2
-    beta_identity = _rel_dev(lhs, rhs) <= tol
-
-    ratio = cb.b / ca.b
-    target = (ple.n / (pme.n - 2.0)) ** 2
-    b_ratio = _rel_dev(ratio, target) <= tol
-
-    sign_match = ca.const_term == cb.const_term
-
     return EquivalenceReport(
-        c_match=c_match,
         c_max_rel_dev=c_max,
-        beta_identity=beta_identity,
-        b_ratio=b_ratio,
-        sign_match=sign_match,
+        beta_dev=_rel_dev((pme.beta * (pme.n - 2.0)) ** 2, (ple.beta * ple.n) ** 2),
+        b_ratio_dev=_rel_dev(cb.b / ca.b, (ple.n / (pme.n - 2.0)) ** 2),
+        sign_match=ca.const_term == cb.const_term,
+        psi_match=ca.psi_coeff == cb.psi_coeff,
         tol=tol,
         flipped=flipped,
     )

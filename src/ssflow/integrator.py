@@ -145,9 +145,8 @@ def integrate(rhs, y0, span, settings: IntegrationSettings | None = None) -> Tra
     step shrinks raise IntegrationFailure carrying the partial trajectory.  ``y0`` and
     every ``rhs`` value are pairs by the rule of ``phase_plane._pair``: anything that
     unpacks into two real numbers (tuple, list, numpy row, ``PhaseState``), never a str,
-    bytes, complex or None.  A ``y0`` (before any ``rhs`` call) or ``rhs(y0)`` that is not
-    a finite pair raises DomainError, and so does a later ``rhs`` value that is not a pair
-    (except a 2-byte bytes at a stage, which the inline stage unpack reads as two ints).
+    bytes-like, complex or None.  A ``y0`` (before any ``rhs`` call) or ``rhs(y0)`` that is
+    not a finite pair raises DomainError, and so does a later ``rhs`` value that is not a pair.
     """
     settings = settings or IntegrationSettings()
     r0, r_end = float(span[0]), float(span[1])
@@ -210,13 +209,15 @@ def integrate(rhs, y0, span, settings: IntegrationSettings | None = None) -> Tra
             v = y1 + h * s1
             value = rhs((u, v))
             evals += 1
-            try:  # inline rather than _pair: this runs six times per step
+            try:  # inline, and _pair only for a pair not of floats: this runs six times per step
                 a, b = value
-                if not (math.isfinite(a) and math.isfinite(b)):
-                    break
-            except (TypeError, ValueError):
+                if a.__class__ is not float or b.__class__ is not float:  # ints, numpy scalars, byte codes
+                    a, b = _pair(value)
+            except (TypeError, ValueError, DomainError):
                 raise DomainError(f"rhs must give a pair of real numbers, got {value!r} at {(u, v)}") from None
-            k0[i], k1[i] = float(a), float(b)
+            if not (math.isfinite(a) and math.isfinite(b)):
+                break
+            k0[i], k1[i] = a, b
 
         if math.isnan(err_norm):  # something was not finite: halve the step
             factor = 0.5
@@ -230,10 +231,8 @@ def integrate(rhs, y0, span, settings: IntegrationSettings | None = None) -> Tra
                 raise IntegrationFailure(f"{cause} near r = {r}", partial=result("truncated"))
             continue
 
-        # Accepted.  FSAL: the last stage (a, b) is f at (r + h, (u, v)); as
-        # floats, it steps like the stored k0[6], k1[6] whatever pair rhs returns.
+        # Accepted.  FSAL: the last stage (a, b), floats as stored in k0[6], k1[6], is f at (r + h, (u, v)).
         accepted += 1
-        a, b = float(a), float(b)
         # Events first: an interior crossing replaces the endpoint.
         hit = None
         for ev in stop_events:

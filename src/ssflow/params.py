@@ -173,12 +173,22 @@ def critical_exponents(n: float) -> CriticalExponents:
     """Evaluate m_c = (n-2)/n, m_s = (n-2)/(n+2), p_c = 2n/(n+1), p_s = 2n/(n+2)."""
     if n <= 0.0:
         raise DomainError(f"dimension n must be positive, got {n}")
-    return CriticalExponents(
+    crit = CriticalExponents(
         m_c=(n - 2.0) / n,
         m_s=(n - 2.0) / (n + 2.0),
         p_c=2.0 * n / (n + 1.0),
         p_s=2.0 * n / (n + 2.0),
     )
+    if not all(map(math.isfinite, (crit.m_c, crit.m_s, crit.p_c, crit.p_s))):  # 2n overflows, or 1/n
+        raise DomainError(f"the critical exponents of n = {n} overflow: {crit}")
+    return crit
+
+
+def _no_overflow(c1, c2, c3, s, sign, psi, critical) -> UnifiedCoefficients:
+    """The coefficients of these values, refused when b, sqrt|b|, c2 or c3 overflowed (b is 0 when critical)."""
+    if not (math.isfinite(c2) and math.isfinite(c3) and (critical or s * s < math.inf)):
+        raise DomainError(f"the unified coefficients overflow: c2 = {c2}, c3 = {c3}, sqrt|b| = {s}")
+    return UnifiedCoefficients(c1, c2, c3, s, sign, psi, critical)
 
 
 def _is_critical(value, crit, tol) -> bool:
@@ -208,17 +218,17 @@ def unified_coefficients(params, critical_tol: float = DEFAULT_CRITICAL_TOL) -> 
             s = n - 2.0
             if s == 0.0:
                 raise DegenerateError("critical porous-medium case degenerates at n = 2")
-            return UnifiedCoefficients(c1, beta * s, -1.0, s, 0, psi, critical=True)
+            return _no_overflow(c1, beta * s, -1.0, s, 0, psi, critical=True)
         b = 2.0 * n * (m - crit.m_c) / (m - 1.0)
         s = math.sqrt(abs(b))
         c3 = (n + 2.0) * (m - crit.m_s) / ((m - 1.0) * s)
-        return UnifiedCoefficients(c1, beta * s, c3, s, _sign(b), psi)
+        return _no_overflow(c1, beta * s, c3, s, _sign(b), psi, critical=False)
     if isinstance(params, PLEParams):
         p, beta = params.p, params.beta
         c1 = (p - 1.0) / (p - 2.0)
         if _is_critical(p, crit.p_c, critical_tol):
             s = n
-            return UnifiedCoefficients(c1, beta * s, -1.0, s, 0, psi, critical=True)
+            return _no_overflow(c1, beta * s, -1.0, s, 0, psi, critical=True)
         if abs(p - 1.0) < LINEAR_TOL:
             raise DegenerateError("p = 1: the phase-plane reduction divides by p - 1")
         if abs(p) < LINEAR_TOL:
@@ -226,7 +236,7 @@ def unified_coefficients(params, critical_tol: float = DEFAULT_CRITICAL_TOL) -> 
         b = p * (n + 1.0) * (p - crit.p_c) / ((p - 2.0) * (p - 1.0))
         s = math.sqrt(abs(b))
         c3 = (n + 2.0) * (p - crit.p_s) / ((p - 2.0) * s)
-        return UnifiedCoefficients(c1, beta * s, c3, s, _sign(b), psi)
+        return _no_overflow(c1, beta * s, c3, s, _sign(b), psi, critical=False)
     raise TypeError(f"expected PMEParams or PLEParams, got {type(params).__name__}")
 
 

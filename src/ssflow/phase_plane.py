@@ -17,6 +17,7 @@ the Yamabe case.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import warnings
 from dataclasses import dataclass, field
@@ -66,15 +67,27 @@ class NativeStatePLE(NamedTuple):
     y: float
 
 
+# These iterate, but over characters or byte codes: never a pair, a row or a grid.
+_TEXT = (str, bytes, bytearray, memoryview)
+
+
+def _is_complex(x) -> bool:
+    """Whether ``x`` is a complex number, also one of numpy's, whose float() drops the imaginary part."""
+    return x.__class__ is not float and isinstance(x, numbers.Complex) and not isinstance(x, numbers.Real)
+
+
 def _pair(value) -> tuple[float, float]:
     """``value`` as a (float, float) pair: anything that unpacks into two real numbers.
 
-    A str or bytes (as the value or as a component), a complex, None or a non-pair raises DomainError.
+    A str or bytes-like (as the value or as a component), a complex (Python's or numpy's),
+    None or a non-pair raises DomainError.
     """
     try:
-        if isinstance(value, (str, bytes)):
+        if isinstance(value, _TEXT):
             raise TypeError
         a, b = value
+        if _is_complex(a) or _is_complex(b):
+            raise TypeError
         math.isfinite(a), math.isfinite(b)  # a TypeError unless both are real numbers
     except (TypeError, ValueError):
         raise DomainError(f"states and slopes are pairs of real numbers, not {value!r}") from None
@@ -105,7 +118,7 @@ class Trajectory:
     ``grid`` holds the independent variable as floats, ``points`` the states and
     ``slopes`` the right-hand side at each node (used for cubic Hermite
     interpolation) as (float, float) pairs; other rows, grid nodes and numpy
-    arrays are converted once by the pair rule (``_pair``), and a str or bytes
+    arrays are converted once by the pair rule (``_pair``), and a str or bytes-like
     grid is refused.  ``r1``, ``states`` and ``derivs`` are the same data as
     read-only numpy arrays of shape (N,), (N, 2) and (N, 2), built on first read.
     ``status`` is one of completed / event / diverged / truncated; ``meta`` holds
@@ -120,9 +133,11 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        grid = self.grid.tolist() if hasattr(self.grid, "tolist") else self.grid
+        grid = self.grid
+        if hasattr(grid, "tolist") and not isinstance(grid, memoryview):  # a memoryview lists its byte codes
+            grid = grid.tolist()
         try:
-            if isinstance(grid, (str, bytes)):  # iterates, but over characters or byte codes
+            if isinstance(grid, _TEXT):
                 raise TypeError
             grid = tuple(grid)
             if set(map(type, grid)) - {float}:  # ints, numpy scalars: each node through the pair rule

@@ -15,7 +15,6 @@ from ._records import CheckResult, _Agg, _worst
 from .equivalence import (
     DEFAULT_IDENTITY_TOL,
     Branch,
-    coefficient_deviation,
     ple_preimage_dimensions,
     ple_to_pme,
     pme_branch_dimensions,
@@ -82,7 +81,8 @@ def default_grid_cells(skipped: list[dict]):
 def check_identity_grid(cells: list[tuple], tol: float) -> list[CheckResult]:
     """Coefficient identification, algebraic identities, and round trips on the grid's cells.
 
-    Identities free of beta are sampled once per (m, n) or per (m, n, branch).
+    The coefficient identities are ``verify_equivalence``'s deviations, one report per
+    mapped pair.  Identities free of beta are sampled once per (m, n) or per (m, n, branch).
     """
     coeff = _Agg(tol)
     beta_id = _Agg(1e-12)
@@ -111,20 +111,15 @@ def check_identity_grid(cells: list[tuple], tol: float) -> list[CheckResult]:
 
         for beta in betas:
             pme = PMEParams(m, n, beta)
-            ca = unified_coefficients(pme)
             for branch in branches:
                 ple = pme_to_ple(pme, branch)
-                cb = unified_coefficients(ple)
-                dev, _ = coefficient_deviation(ca, cb)
-                coeff.add(dev)
-                coeff.add(0.0 if ca.const_term == cb.const_term else 1.0)
-                coeff.add(0.0 if ca.psi_coeff == cb.psi_coeff else 1.0)
-
-                lhs = (beta * (n - 2.0)) ** 2
-                rhs = (ple.beta * ple.n) ** 2
-                beta_id.add((lhs - rhs) / max(1.0, abs(lhs)))
-                b_ratio.add(cb.b / ca.b - (ple.n / (n - 2.0)) ** 2)
-                sign_id.add(0.0 if ca.const_term == cb.const_term else 1.0)
+                rep = verify_equivalence(pme, ple, tol)
+                coeff.add(rep.c_max_rel_dev)
+                coeff.add(0.0 if rep.sign_match else 1.0)
+                coeff.add(0.0 if rep.psi_match else 1.0)
+                beta_id.add(rep.beta_dev)
+                b_ratio.add(rep.b_ratio_dev)
+                sign_id.add(0.0 if rep.sign_match else 1.0)
 
                 back = ple_to_pme(ple, branch)
                 roundtrip.add(abs(back.m - m) / max(1.0, abs(m)))

@@ -60,6 +60,18 @@ class TestMapCommand:
         assert target["n"] == pytest.approx(3.0, rel=1e-12)
 
 
+    def test_every_check_reports_its_deviation(self):
+        # max_dev was null for beta_identity, b_ratio and sign_match
+        res = run_cli("map", "--eq", "pme", "--m", "0.25", "--n", "3", "--beta", "1")
+        assert res.returncode == 0
+        checks = json.loads(res.stdout)["checks"]
+        assert len(checks) == 8
+        for check in checks:
+            assert isinstance(check["max_dev"], float) and check["max_dev"] <= check["tol"], check
+            if check["name"].endswith("sign_match"):
+                assert check["max_dev"] == 0.0
+
+
 class TestCoeffsCommand:
     def test_reference_coefficients(self):
         res = run_cli("coeffs", "--eq", "pme", "--m", "2", "--n", "1", "--beta", "0.25")
@@ -75,6 +87,15 @@ class TestCoeffsCommand:
         data = json.loads(res.stdout)
         assert data["coefficients"]["critical"] is True
         assert data["coefficients"]["c3"] == -1.0
+
+    # p_c = 2n/(n+1) overflows; before, this exited 0 with c2 = c3 = NaN and sqrt_abs_b = Infinity
+    @pytest.mark.parametrize("eq", [("pme", "--m", "3"), ("ple", "--p", "4")], ids=["pme", "ple"])
+    def test_overflowing_dimension_is_a_domain_error(self, eq):
+        res = run_cli("coeffs", "--eq", *eq, "--n", "1e308", "--beta", "0")
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        data = json.loads(res.stdout)
+        assert data["status"] == "error" and data["error"]["type"] == "DomainError"
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_critical_tol_is_a_domain_error(self, tol):
@@ -683,6 +704,13 @@ class TestGoldenTrajectories:
         res = run_cli("profile", "--preset", preset, "--out", str(out))
         assert res.returncode == 0
         assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+    def test_verify_bit_identical(self):
+        # the whole report: every check's max_dev, tol and pass, and the skipped cells
+        res = subprocess.run([sys.executable, "-m", "ssflow", "verify"], capture_output=True, timeout=120,
+                             env={key: value for key, value in os.environ.items() if key != "SSFLOW_TOL"})
+        assert res.returncode == 0
+        assert res.stdout == (GOLDEN / "verify_default.json").read_bytes()
 
     def test_golden_reparse_matches_library(self):
         from ssflow import IntegrationSettings, PMEParams, integrate, straight_line, unified_coefficients, unified_system

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,11 @@ from ssflow import (
     CriticalError,
     DegenerateError,
     DimensionTwoError,
+    DomainError,
+    EquivalenceReport,
     PLEParams,
     PMEParams,
+    UnifiedCoefficients,
     UnphysicalDimensionError,
     critical_exponents,
     ple_preimage_dimensions,
@@ -20,6 +24,7 @@ from ssflow import (
     unified_coefficients,
     verify_equivalence,
 )
+from ssflow.equivalence import coefficient_deviation
 
 B1, B2 = Branch.BRANCH1, Branch.BRANCH2
 
@@ -291,6 +296,52 @@ class TestVerifyEquivalence:
         ple = pme_to_ple(pme, B1)
         ca, cb = unified_coefficients(pme), unified_coefficients(ple)
         assert cb.b / ca.b == pytest.approx((ple.n / (pme.n - 2.0)) ** 2, rel=1e-13)
+
+
+class TestEquivalenceReportDeviations:
+    """verify_equivalence measures each identity once; the booleans are ``dev <= tol`` of its numbers."""
+
+    def test_deviations_are_reported(self):
+        pme = PMEParams(0.25, 3.0, 1.0)
+        ple = pme_to_ple(pme, B1)
+        rep = verify_equivalence(pme, ple)
+        ca, cb = unified_coefficients(pme), unified_coefficients(ple)
+        lhs, rhs = (pme.beta * (pme.n - 2.0)) ** 2, (ple.beta * ple.n) ** 2
+        assert rep.beta_dev == abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+        ratio, target = cb.b / ca.b, (ple.n / (pme.n - 2.0)) ** 2
+        assert rep.b_ratio_dev == abs(ratio - target) / max(1.0, abs(ratio), abs(target))
+        assert rep.sign_match and rep.psi_match
+        assert max(rep.c_max_rel_dev, rep.beta_dev, rep.b_ratio_dev) < 1e-13
+
+    @pytest.mark.parametrize("field", ["c_max_rel_dev", "beta_dev", "b_ratio_dev"])
+    @pytest.mark.parametrize("dev", [math.nan, math.inf, 2e-10])
+    def test_deviation_beyond_tol_fails(self, field, dev):
+        devs = {"c_max_rel_dev": 0.0, "beta_dev": 0.0, "b_ratio_dev": 0.0, field: dev}
+        rep = EquivalenceReport(**devs, sign_match=True, psi_match=True, tol=1e-10)
+        checks = {"c_max_rel_dev": rep.c_match, "beta_dev": rep.beta_identity, "b_ratio_dev": rep.b_ratio}
+        assert checks.pop(field) is False and all(checks.values())
+        assert rep.passed is False
+
+    def test_deviation_at_tol_passes(self):
+        rep = EquivalenceReport(1e-10, 1e-10, 1e-10, sign_match=True, psi_match=True, tol=1e-10)
+        assert rep.c_match and rep.beta_identity and rep.b_ratio and rep.passed
+
+    @pytest.mark.parametrize("sign_match,psi_match", [(False, True), (True, False)])
+    def test_discrete_mismatch_fails_the_coefficient_match(self, sign_match, psi_match):
+        rep = EquivalenceReport(0.0, 0.0, 0.0, sign_match=sign_match, psi_match=psi_match, tol=1e-10)
+        assert not rep.c_match and not rep.passed
+
+    def test_nan_coefficient_deviation_is_reported(self):
+        # the bare max of the three deviations dropped a NaN that did not come first
+        nan = math.nan
+        dev, flipped = coefficient_deviation(UnifiedCoefficients(1.5, nan, nan, 1.0, 1, 1),
+                                             UnifiedCoefficients(1.5, 0.0, 0.0, 1.0, 1, 1))
+        assert math.isnan(dev) and flipped is False
+
+    def test_overflowing_dimension_does_not_pass(self):
+        # c2 = c3 = NaN on the porous-medium side once passed every identity
+        with pytest.raises(DomainError, match="overflow"):
+            verify_equivalence(PMEParams(3.0, 1e308, 0.0), PLEParams(4.0, 1.0, 0.0))
 
 
 class TestCoefficientAgreementGrid:

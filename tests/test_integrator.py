@@ -426,7 +426,11 @@ class TestStartContract:
 
 # Values that are not a pair of real numbers, though some of them unpack into two items.
 _NOT_PAIRS = {"str": "12", "bytes": b"12", "str-items": ("1", "2"), "complex": (1j, 0.0), "none": None,
-              "single": (1.0,)}
+              "single": (1.0,), "bytearray": bytearray(b"12"), "memoryview": memoryview(b"12"),
+              "numpy-complex128": (np.complex128(1.0 + 1.0j), 0.0), "numpy-complex64": (0.0, np.complex64(1.0j))}
+# numpy reads a buffer as its byte codes: np.array(bytearray(b"12")) is the real pair (49, 50), so the
+# tests that build an array of a value leave the bytes-like buffers out.
+_ARRAY_NOT_PAIRS = {k: v for k, v in _NOT_PAIRS.items() if not isinstance(v, (bytearray, memoryview))}
 _STOP_AT_HALF = IntegrationSettings(stop_events=(StopEvent(0, 0.5, +1),))
 
 
@@ -456,9 +460,7 @@ class TestPairRule:
         with pytest.raises(DomainError, match="initial state"):
             integrate(lambda y: value, (0.0, 0.0), (0.0, 1.0))
 
-    # A 2-byte bytes at a later stage still unpacks as two ints in the inline stage loop (CHANGES.md FOUND).
-    @pytest.mark.parametrize("value", [v for v in _NOT_PAIRS.values() if not isinstance(v, bytes)],
-                             ids=[k for k, v in _NOT_PAIRS.items() if not isinstance(v, bytes)])
+    @pytest.mark.parametrize("value", _NOT_PAIRS.values(), ids=_NOT_PAIRS.keys())
     def test_rhs_at_a_later_stage_refused(self, value):
         with pytest.raises(DomainError, match="pair"):
             integrate(lambda y: (1.0, 0.0) if y[0] < 0.5 else value, (0.0, 0.0), (0.0, 1.0))
@@ -476,16 +478,22 @@ class TestPairRule:
             integrate(flow, (0.0, 0.0), (0.0, 1.0), _STOP_AT_HALF)
         assert calls == event_row
 
-    @pytest.mark.parametrize("value", _NOT_PAIRS.values(), ids=_NOT_PAIRS.keys())
-    @pytest.mark.parametrize("build", [list, np.array], ids=["list", "array"])
+    @pytest.mark.parametrize(
+        "build,value",
+        [(list, v) for v in _NOT_PAIRS.values()] + [(np.array, v) for v in _ARRAY_NOT_PAIRS.values()],
+        ids=[f"list-{k}" for k in _NOT_PAIRS] + [f"array-{k}" for k in _ARRAY_NOT_PAIRS],
+    )
     def test_trajectory_rows_refused(self, value, build):
         good = build([(0.0, 1.0), (0.5, 2.0)])
         for points, slopes in ((build([value, value]), good), (good, build([value, value]))):
             with pytest.raises(SsflowError):
                 Trajectory([0.0, 1.0], points, slopes)
 
-    @pytest.mark.parametrize("value", _NOT_PAIRS.values(), ids=_NOT_PAIRS.keys())
-    @pytest.mark.parametrize("build", [lambda v: v, np.array], ids=["as-given", "array"])
+    @pytest.mark.parametrize(
+        "build,value",
+        [(lambda v: v, v) for v in _NOT_PAIRS.values()] + [(np.array, v) for v in _ARRAY_NOT_PAIRS.values()],
+        ids=[f"as-given-{k}" for k in _NOT_PAIRS] + [f"array-{k}" for k in _ARRAY_NOT_PAIRS],
+    )
     def test_trajectory_grid_refused(self, value, build):
         rows = [(0.0, 1.0), (0.5, 2.0)]
         with pytest.raises(SsflowError):

@@ -76,6 +76,12 @@ class TestCriticalExponents:
         with pytest.raises(DomainError):
             critical_exponents(-1.0)
 
+    # p_c = 2n/(n+1) overflows for a huge n, m_c = (n-2)/n for a tiny one
+    @pytest.mark.parametrize("n", [1e308, 1e-308, 5e-324, math.inf, math.nan])
+    def test_overflowing_exponents_refused(self, n):
+        with pytest.raises(DomainError, match="overflow"):
+            critical_exponents(n)
+
 
 class TestParamValidation:
     def test_linear_rejected(self):
@@ -98,6 +104,27 @@ class TestParamValidation:
 
 
 class TestUnifiedCoefficients:
+    # Before, the overflowed p_c or m_c made these critical (c3 = -1), and the huge PME n gave c2 = c3 = NaN.
+    @pytest.mark.parametrize(
+        "params",
+        [PLEParams(4.0, 1e308, 0.2), PMEParams(3.0, 1e-308, 0.2), PMEParams(3.0, 1e308, 0.0)],
+        ids=["ple-huge-n", "pme-tiny-n", "pme-huge-n"],
+    )
+    def test_overflowing_dimension_refused(self, params):
+        with pytest.raises(DomainError, match="overflow"):
+            unified_coefficients(params)
+
+    # the exponents are finite here, but b, sqrt|b| or c2 = beta sqrt|b| is not
+    @pytest.mark.parametrize(
+        "params",
+        [PMEParams(3.0, 8e307, 0.0), PMEParams(3.0, 1e300, 1e200), PLEParams(1.5, 3.0, 1e308),
+         PMEParams(0.6, 5.0, 1e308)],
+        ids=["pme-b", "pme-c2", "ple-c2", "critical-c2"],
+    )
+    def test_overflowing_coefficients_refused(self, params):
+        with pytest.raises(DomainError, match="overflow"):
+            unified_coefficients(params)
+
     def test_pme_reference_case(self):
         c = unified_coefficients(PMEParams(2.0, 1.0, 1.0 / 3.0, T1))
         assert c.c1 == pytest.approx(2.0, abs=1e-15)
