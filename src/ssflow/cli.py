@@ -260,10 +260,10 @@ def cmd_explicit(args) -> int:
         profile = builder(exponent, args.n, const)
     etas = profile.interior_points(args.points)
     rows = [(s.eta, s.f, s.fprime) for s in profile.sample(etas)]
-    _csv_out(("eta", "f", "fprime"), rows, args.out)
     agg = _Agg(1e-8)
-    agg.add(solutions.max_residual(profile, args.points))
+    agg.add(solutions.max_residual(profile, args.points))  # before any row: a failing residual is all of stdout
     check = agg.result("max_residual")
+    _csv_out(("eta", "f", "fprime"), rows, args.out)
     footer = {
         "status": "ok" if check.passed else "fail",
         "params": _params_dict(profile.params),

@@ -172,6 +172,8 @@ def ple_to_pme(params: PLEParams, branch: Branch) -> PMEParams:
     if _is_critical(p, p_c, _EXCLUSION_TOL):
         raise CriticalError(f"p = p_c({n_prime}) = {p_c}: critical identification point")
     n, factor = _preimage(p, n_prime, branch)
+    if factor == 0.0:  # Branch2's F cancels to 0.0 for a large n'; exactly, F = 2p(1-p)/(n'(2-p) - p)
+        raise DegenerateError(f"{branch.name} inverse of (p={p}, n'={n_prime}): F = n(p-2) + 2 rounds to 0")
     beta = beta_prime * p / factor
     if n <= 0.0:
         raise UnphysicalDimensionError(

@@ -17,9 +17,9 @@ orbit's nodes.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain
 
 from ._records import _worst
 from .errors import ComparisonError, DomainError, IntegrationFailure
@@ -155,7 +155,8 @@ def integrate(rhs, y0, span, settings: IntegrationSettings | None = None) -> Tra
     if r0 == r_end:
         raise DomainError("span must be non-degenerate")
     direction = 1.0 if r_end > r0 else -1.0
-    rel_tol, abs_tol, max_step = settings.rel_tol, settings.abs_tol, settings.max_step
+    # floats, so that every stored node is one (the Trajectory keeps them unconverted)
+    rel_tol, abs_tol, max_step = float(settings.rel_tol), float(settings.abs_tol), float(settings.max_step)
     max_steps, stop_events = settings.max_steps, settings.stop_events
 
     start = _finite_pair(y0)
@@ -178,7 +179,7 @@ def integrate(rhs, y0, span, settings: IntegrationSettings | None = None) -> Tra
 
     def result(status):
         meta.update(accepted=accepted, rejected=rejected, rhs_evals=evals)
-        return Trajectory(rs, ys, fs, status=status, meta=meta)
+        return Trajectory._of_floats(rs, ys, fs, status, meta)
 
     while True:
         if accepted >= max_steps:
@@ -262,15 +263,19 @@ def integrate(rhs, y0, span, settings: IntegrationSettings | None = None) -> Tra
         h *= factor
 
 
-def _hermite_walk(traj: Trajectory, grid: list[float]) -> list[tuple[float, float]]:
-    """Cubic Hermite states of ``traj`` at the ascending ``grid``, which lies in its range.
+def _ascending(traj: Trajectory) -> tuple[tuple, tuple, tuple]:
+    """``traj``'s grid, points and slopes, reversed when its grid descends."""
+    r, ys, fs = traj.grid, traj.points, traj.slopes
+    return (r[::-1], ys[::-1], fs[::-1]) if r[0] > r[-1] else (r, ys, fs)
+
+
+def _hermite_walk(orbit: tuple[tuple, tuple, tuple], grid) -> list[tuple[float, float]]:
+    """Cubic Hermite states of the ascending ``orbit`` (``_ascending``) at the ascending ``grid`` in its range.
 
     A point g takes the step from the last node at or below g (the final step at the
-    last node), so a node of ``traj`` is the start of its step, with theta = 0.
+    last node), so a node of the orbit is the start of its step, with theta = 0.
     """
-    r, ys, fs = traj.grid, traj.points, traj.slopes
-    if r[0] > r[-1]:
-        r, ys, fs = r[::-1], ys[::-1], fs[::-1]
+    r, ys, fs = orbit
     if len(r) == 1:
         return [ys[0]] * len(grid)
     out = []
@@ -287,21 +292,37 @@ def _hermite_walk(traj: Trajectory, grid: list[float]) -> list[tuple[float, floa
     return out
 
 
+def _node_squares(own, other, lo: float, hi: float):
+    """Squared distances from ``own``'s nodes in [lo, hi] to ``other``'s interpolant (ascending orbits).
+
+    At its own node an orbit's interpolant is the node: theta = 0 gives the weights (1, 0, 0, 0),
+    and theta = 1 at the last node (0, 0, 1, 0).  Where a slope or a step width is not finite
+    the zero weights make 0 * inf or 0 * NaN, so there the orbit's own walk gives its NaN.
+    """
+    r, ys, fs = own
+    i, j = bisect_left(r, lo), bisect_right(r, hi)
+    nodes = r[i:j]
+    if not nodes:
+        return ()
+    exact = len(r) == 1 or (math.isfinite(r[-1] - r[0]) and all(map(math.isfinite, chain.from_iterable(fs))))
+    values = ys[i:j] if exact else _hermite_walk(own, nodes)
+    pairs = zip(values, _hermite_walk(other, nodes))
+    return ((u0 - v0) * (u0 - v0) + (u1 - v1) * (u1 - v1) for (u0, u1), (v0, v1) in pairs)
+
+
 def compare_trajectories(a: Trajectory, b: Trajectory) -> float:
     """Maximum Euclidean deviation between two orbits on their common range.
 
-    Both trajectories are interpolated (cubic Hermite from the stored
-    derivatives) onto the union of their grids restricted to the overlap.
+    Each orbit's nodes in the overlap are compared with the other orbit's
+    cubic Hermite interpolant (from the stored derivatives): the same points
+    and values as interpolating both onto the union of their grids.
     A NaN deviation anywhere makes the result NaN.
     """
     if len(a) == 0 or len(b) == 0:
         raise ComparisonError("cannot compare an empty trajectory")
-    lo = max(min(a.grid), min(b.grid))
-    hi = min(max(a.grid), max(b.grid))
+    a, b = _ascending(a), _ascending(b)
+    lo, hi = max(a[0][0], b[0][0]), min(a[0][-1], b[0][-1])
     if lo > hi:
         raise ComparisonError(f"trajectory ranges do not overlap: [{lo}, {hi}] is empty")
-    # sorted() merges the two monotone runs; groupby drops a node the grids share
-    grid = [g for g, _ in groupby(sorted(a.grid + b.grid)) if lo <= g <= hi]
-    pairs = zip(_hermite_walk(a, grid), _hermite_walk(b, grid))
     # sqrt is monotone and keeps NaN, so the root of the worst square is the worst deviation
-    return math.sqrt(_worst([(u0 - v0) * (u0 - v0) + (u1 - v1) * (u1 - v1) for (u0, u1), (v0, v1) in pairs]))
+    return math.sqrt(_worst(chain(_node_squares(a, b, lo, hi), _node_squares(b, a, lo, hi))))

@@ -119,7 +119,10 @@ class Trajectory:
     ``slopes`` the right-hand side at each node (used for cubic Hermite
     interpolation) as (float, float) pairs; other rows, grid nodes and numpy
     arrays are converted once by the pair rule (``_pair``), and a str or bytes-like
-    grid is refused.  ``r1``, ``states`` and ``derivs`` are the same data as
+    grid is refused.  ``integrate`` and the trajectory maps build these floats
+    themselves and skip the conversion (``_of_floats``); the equal-length, finite
+    grid and states, and strictly monotone grid checks run for every trajectory,
+    whatever built it.  ``r1``, ``states`` and ``derivs`` are the same data as
     read-only numpy arrays of shape (N,), (N, 2) and (N, 2), built on first read.
     ``status`` is one of completed / event / diverged / truncated; ``meta`` holds
     the integrator's ``settings``, ``accepted``, ``rejected``, ``rhs_evals`` and
@@ -148,7 +151,19 @@ class Trajectory:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "slopes", slopes)
-        if not (len(grid) == len(points) == len(slopes)):
+        self._check()
+
+    @classmethod
+    def _of_floats(cls, grid, points, slopes, status: str, meta: dict) -> Trajectory:
+        """A trajectory of its producer's own floats: float nodes and (float, float) tuple rows, kept as given."""
+        traj = cls.__new__(cls)
+        vars(traj).update(grid=tuple(grid), points=tuple(points), slopes=tuple(slopes), status=status, meta=meta)
+        traj._check()
+        return traj
+
+    def _check(self) -> None:
+        grid, points = self.grid, self.points
+        if not (len(grid) == len(points) == len(self.slopes)):
             raise SsflowError("trajectory arrays must have equal length")
         if not all(map(math.isfinite, chain(grid, chain.from_iterable(points)))):
             raise SsflowError("trajectory grid and states must be finite")
@@ -238,7 +253,8 @@ def unified_system(coeffs: UnifiedCoefficients):
 
 def _pme_forward(params: PMEParams, s, linear=False):
     """The map (X, Y) -> (Psi, Phi) = (Y/|b|, (2 + (1-m)X)/sqrt|b|); ``linear`` drops the 2."""
-    shift, one_minus_m, abs_b = 0.0 if linear else 2.0, 1.0 - params.m, s * s
+    s = float(s)
+    shift, one_minus_m, abs_b = 0.0 if linear else 2.0, float(1.0 - params.m), s * s
 
     def forward(x, y):
         return y / abs_b, (shift + one_minus_m * x) / s
@@ -254,10 +270,10 @@ def _pme_inverse(psi, phi, params: PMEParams, s):
 def _ple_forward(params: PLEParams, s, linear=False):
     """The map (X, Y) -> (Psi, Phi) = (a X, k (gamma - n + alpha Y - beta X)) with
     a = 1/(|b|(p-1)) and k = -(p-2)/((p-1) sqrt|b|); ``linear`` drops gamma - n."""
-    p, alpha, beta = params.p, alpha_from(params), params.beta
-    shift = 0.0 if linear else params.gamma - params.n
-    a = 1.0 / (s * s * (p - 1.0))
-    k = -(p - 2.0) / ((p - 1.0) * s)
+    p, alpha, beta = params.p, float(alpha_from(params)), float(params.beta)
+    shift = 0.0 if linear else float(params.gamma - params.n)
+    a = float(1.0 / (s * s * (p - 1.0)))
+    k = float(-(p - 2.0) / ((p - 1.0) * s))
 
     def forward(x, y):
         return a * x, k * (shift + alpha * y - beta * x)
@@ -341,13 +357,21 @@ def state_to_profile(state, eta: float, params, coeffs: UnifiedCoefficients | No
         x, y = _pme_inverse(psi, phi, params, s)
         if y <= 0.0:
             raise OutsideSupportError(f"Psi = {psi} cannot give f > 0")
-        f = (y / (eta * eta)) ** (1.0 / (1.0 - params.m))
+        f = _eta_scaled_power(y, eta, 1.0 / (1.0 - params.m))
         return ProfileSample(float(eta), float(f), float(x * f / eta))
     x, y = _ple_inverse(psi, phi, params, s)
     p = params.p
     z = y / x ** ((p - 1.0) / (p - 2.0))  # Z = eta^gamma f; X > 0 here
-    fp = -((x / (eta * eta)) ** (1.0 / (2.0 - p)))
+    fp = -_eta_scaled_power(x, eta, 1.0 / (2.0 - p))
     return ProfileSample(float(eta), float(z * eta ** (-params.gamma)), float(fp))
+
+
+def _eta_scaled_power(v: float, eta: float, k: float) -> float:
+    """(v / eta^2)^k for v > 0; DomainError where eta^2 underflows to 0.0, or v / eta^2 does and k < 0."""
+    try:
+        return (v / (eta * eta)) ** k
+    except ZeroDivisionError:
+        raise DomainError(f"eta = {eta}: {v}/eta^2 leaves the float range") from None
 
 
 # ----------------------------------------------------------------------
@@ -357,7 +381,7 @@ def state_to_profile(state, eta: float, params, coeffs: UnifiedCoefficients | No
 
 
 def _map_trajectory(traj: Trajectory, params, forward, source: str) -> Trajectory:
-    s = unified_coefficients(params).sqrt_abs_b
+    s = float(unified_coefficients(params).sqrt_abs_b)
     state_map, slope_map = forward(params, s), forward(params, s, linear=True)
     slopes = []
     for dx, dy in traj.slopes:
@@ -365,8 +389,8 @@ def _map_trajectory(traj: Trajectory, params, forward, source: str) -> Trajector
         slopes.append((dpsi / s, dphi / s))
     meta = dict(traj.meta)
     meta.update(system="unified", mapped_from=source)
-    return Trajectory([s * r for r in traj.grid], [state_map(x, y) for x, y in traj.points], slopes,
-                      status=traj.status, meta=meta)
+    return Trajectory._of_floats([s * r for r in traj.grid], [state_map(x, y) for x, y in traj.points], slopes,
+                                 traj.status, meta)
 
 
 def pme_trajectory_to_unified(traj: Trajectory, params: PMEParams) -> Trajectory:

@@ -123,8 +123,13 @@ def _power_law(A: float, q: float, L: float, c: float, E: float, e: float):
     if c <= 0.0:
         support = (0.0, math.inf)
     else:
-        edge = (L / c) ** (1.0 / E)
+        try:
+            edge = (L / c) ** (1.0 / E)
+        except ZeroDivisionError:  # L/c underflowed to 0.0 and E < 0: the edge lies beyond the float range
+            edge = math.inf
         support = (0.0, edge) if E > 0.0 else (edge, math.inf)
+        if not support[0] < support[1]:
+            raise DomainError(f"the free boundary eta = {edge} leaves the float range: the support is empty")
     lo, hi = support
 
     def refuse(eta, terms):
@@ -191,12 +196,16 @@ def barenblatt_ple(p: float, n: float, C: float = 1.0) -> ClosedFormProfile:
     alpha = n beta1' (Type I).
     """
     _check_positive("C", C)
+    if p == 0.0 or p == 1.0:
+        raise DegenerateError(f"p = {p} has no source-type profile of this form")
     denom = n * (p - 2.0) + p
     if abs(denom) < _EXCLUSION_TOL:
         raise DegenerateError("n(p-2) + p = 0: the source-type exponent degenerates")
     beta1 = 1.0 / denom
+    params = PLEParams(p, n, beta1, SimilarityType.TYPE_I)  # refuses p = 2 and a non-finite n before A
+    if beta1 == 0.0:
+        raise DomainError(f"n(p-2) + p = {denom} leaves the float range: beta1 rounds to 0")
     A = (p - 2.0) / p * math.copysign(abs(beta1) ** (1.0 / (p - 1.0)), beta1)
-    params = PLEParams(p, n, beta1, SimilarityType.TYPE_I)
     support, derivs = _power_law(1.0, 0.0, C, A, p / (p - 1.0), (p - 1.0) / (p - 2.0))
     return ClosedFormProfile({"C": C, "A": A, "beta1": beta1}, params, *derivs, support)
 
@@ -249,6 +258,8 @@ def dipole_derivative_ple(p: float, n: float, c: float = 1.0) -> ClosedFormProfi
     # t = (c s / k)^(1/E): t^q (c - k t^E)^e dt = c^e (c/k)^a / E * s^(a-1) (1-s)^e ds
     a = (q + 1.0) / E
     scale = -(c ** e) * (c / k) ** a / E
+    if not e > -1.0:  # p - 2 rounds to -1 just below p = 1, where the integral for f diverges
+        raise DegenerateError(f"p = {p}: the exponent 1/(p-2) = {e} leaves no integrable f")
     tail = _beta_tail(a, e)
 
     def f(eta):

@@ -15,6 +15,7 @@ from ._records import CheckResult, _Agg, _worst
 from .equivalence import (
     DEFAULT_IDENTITY_TOL,
     Branch,
+    EquivalenceReport,
     ple_preimage_dimensions,
     ple_to_pme,
     pme_branch_dimensions,
@@ -78,11 +79,13 @@ def default_grid_cells(skipped: list[dict]):
             yield m, n, betas, branches
 
 
-def check_identity_grid(cells: list[tuple], tol: float) -> list[CheckResult]:
+def check_identity_grid(cells: list[tuple], tol: float) -> tuple[list[CheckResult], list[EquivalenceReport]]:
     """Coefficient identification, algebraic identities, and round trips on the grid's cells.
 
     The coefficient identities are ``verify_equivalence``'s deviations, one report per
-    mapped pair.  Identities free of beta are sampled once per (m, n) or per (m, n, branch).
+    mapped pair; the reports come back with the checks, in the grid's order, for
+    ``check_verify_pairs``.  Identities free of beta are sampled once per (m, n) or per
+    (m, n, branch).
     """
     coeff = _Agg(tol)
     beta_id = _Agg(1e-12)
@@ -92,6 +95,7 @@ def check_identity_grid(cells: list[tuple], tol: float) -> list[CheckResult]:
     sum_n = _Agg(1e-12)
     roundtrip = _Agg(1e-10)
     line_cond = _Agg(1e-10)
+    reports = []
 
     for m, n, betas, branches in cells:
         np1, np2 = pme_branch_dimensions(m, n)
@@ -114,6 +118,7 @@ def check_identity_grid(cells: list[tuple], tol: float) -> list[CheckResult]:
             for branch in branches:
                 ple = pme_to_ple(pme, branch)
                 rep = verify_equivalence(pme, ple, tol)
+                reports.append(rep)
                 coeff.add(rep.c_max_rel_dev)
                 coeff.add(0.0 if rep.sign_match else 1.0)
                 coeff.add(0.0 if rep.psi_match else 1.0)
@@ -135,19 +140,15 @@ def check_identity_grid(cells: list[tuple], tol: float) -> list[CheckResult]:
         sum_n.result("branch_sum_pme"),
         roundtrip.result("roundtrip"),
         line_cond.result("line_condition"),
-    ]
+    ], reports
 
 
-def check_verify_pairs(cells: list[tuple], tol: float) -> CheckResult:
-    """verify_equivalence passes for every mapped pair of the grid's cells."""
+def check_verify_pairs(reports: list[EquivalenceReport], tol: float) -> CheckResult:
+    """verify_equivalence passes for every mapped pair: the grid's reports from ``check_identity_grid``."""
     agg = _Agg(tol)
-    for m, n, betas, branches in cells:
-        for beta in betas:
-            pme = PMEParams(m, n, beta)
-            for branch in branches:
-                rep = verify_equivalence(pme, pme_to_ple(pme, branch), tol)
-                agg.add(0.0 if rep.passed else 1.0)
-                agg.add(rep.c_max_rel_dev)
+    for rep in reports:
+        agg.add(0.0 if rep.passed else 1.0)
+        agg.add(rep.c_max_rel_dev)
     return agg.result("verify_equivalence_pairs")
 
 
@@ -194,8 +195,7 @@ def check_yamabe_profiles() -> CheckResult:
     agg = _Agg(1e-6)
     for n in (3.0, 4.0, 5.0):
         for prof in (solutions.loewner_nirenberg_pme(n, 1.0), solutions.yamabe_ple(n, 1.0)):
-            for eta in solutions._geomspace(0.1, 10.0, 40):
-                smp = prof.sample([eta])[0]
+            for smp in prof.sample(solutions._geomspace(0.1, 10.0, 40)):
                 state = profile_to_state(smp, prof.params)
                 agg.add(state.psi - yamabe_curve(n, state.phi))
     return agg.result("yamabe_profiles_on_curve")
@@ -284,8 +284,8 @@ def run_default_verification(tol_identities: float = DEFAULT_IDENTITY_TOL) -> di
     """Run the whole suite; returns the JSON-ready report dictionary."""
     skipped: list[dict] = []
     cells = list(default_grid_cells(skipped))
-    checks = check_identity_grid(cells, tol_identities)
-    checks.append(check_verify_pairs(cells, tol_identities))
+    checks, reports = check_identity_grid(cells, tol_identities)
+    checks.append(check_verify_pairs(reports, tol_identities))
     checks.append(check_conjugacy())
     checks.append(check_closed_forms())
     checks.append(check_yamabe_profiles())

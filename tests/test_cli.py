@@ -795,3 +795,38 @@ class TestOverflowLeavesStderrClean:
         data = json.loads(res.stdout)
         assert data["error"]["type"] == "IntegrationFailure"
 
+
+
+class TestArgumentFuzzFindings:
+    """Inputs the seeded argument fuzz (test_cli_fuzz.py) found: each a JSON error, all of stdout."""
+
+    @pytest.mark.parametrize(
+        "argv,kind",
+        [
+            (("map", "--eq", "ple", "--p", "3", "--n", "1e300", "--beta", "0.5", "--branch", "2"),
+             "DegenerateError"),
+            (("map", "--eq", "ple", "--p", "0.3333333333333333", "--n", "1e300", "--beta", "1", "--branch", "2"),
+             "DegenerateError"),
+            (("explicit", "--kind", "barenblatt-ple", "--n", "3", "--p", "0"), "DegenerateError"),
+            (("explicit", "--kind", "barenblatt-ple", "--n", "3", "--p", "1"), "DegenerateError"),
+            (("explicit", "--kind", "barenblatt-ple", "--p", "1e-300", "--n", "1e308"), "DomainError"),
+            (("explicit", "--kind", "dipole-derivative-ple", "--p", "1e-300", "--n", "0.25"), "DomainError"),
+            (("profile", "--eq", "pme", "--m", "2", "--n", "1", "--beta", "0.3", "--psi0", "1", "--phi0", "1",
+              "--anchor-eta", "1e200"), "DomainError"),
+            (("profile", "--preset", "barenblatt-line", "--anchor-eta", "1e-300"), "DomainError"),
+            # the residual fails after sampling: no CSV row may precede the error report
+            (("explicit", "--kind", "dipole-pme", "--m", "-1", "--n", "1e300"), "OutsideSupportError"),
+            (("explicit", "--kind", "barenblatt-ple", "--p", "1.0000000000000002", "--n", "2.0000000000000004"),
+             "SingularEvaluationError"),
+        ],
+        ids=["map-F-zero-p3", "map-F-zero-p-third", "barenblatt-ple-p-zero", "barenblatt-ple-p-one",
+             "barenblatt-ple-beta1-underflow", "dipole-derivative-empty-support", "profile-anchor-eta-huge",
+             "profile-anchor-eta-tiny", "explicit-residual-outside-support", "explicit-residual-singular"],
+    )
+    def test_json_error(self, argv, kind):
+        res = run_cli(*argv)
+        assert res.returncode == 1
+        assert res.stderr == ""
+        data = json.loads(res.stdout)
+        assert data["status"] == "error"
+        assert data["error"]["type"] == kind

@@ -162,6 +162,15 @@ class TestPreimagePrecision:
         assert ple_preimage_dimensions(ple.p, ple.n)[branch.value - 1] == pytest.approx(exact_n, rel=1e-9)
 
 
+class TestPreimageFactorZero:
+    """Branch 2's F = n(p - 2) + 2 cancels to 0.0 for a large n': refused before beta = beta' p / F divides."""
+
+    @pytest.mark.parametrize("p,n_prime,beta", [(3.0, 1e300, 0.5), (1.0 / 3.0, 1e300, 1.0)])
+    def test_degenerate_error(self, p, n_prime, beta):
+        with pytest.raises(DegenerateError, match="F"):
+            ple_to_pme(PLEParams(p, n_prime, beta), B2)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("branch", [B1, B2])
     @pytest.mark.parametrize(

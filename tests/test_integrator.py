@@ -20,6 +20,8 @@ from ssflow import (
     ple_native_system_xy,
     pme_native_system,
     pme_to_unified,
+    pme_trajectory_to_unified,
+    ple_trajectory_to_unified,
     ple_to_unified,
     state_to_profile,
     straight_line,
@@ -241,6 +243,33 @@ class TestTrajectory:
         traj = Trajectory(_GRID, _POINTS, _SLOPES)
         with pytest.raises(AttributeError):
             traj.grid = (0.0,)
+
+
+class TestProducersKeepTheChecks:
+    """integrate and the trajectory maps skip the conversion pass, never the finite and monotone checks."""
+
+    def test_integrate_refuses_a_grid_that_stops_moving(self):
+        # a step of 0.1 leaves r = 1e20 where it was
+        with pytest.raises(SsflowError, match="monotone"):
+            integrate(lambda y: (1.0, 0.0), (0.0, 0.0), (1e20, 1e20 + 1e6))
+
+    def test_map_refuses_an_overflowing_state(self):
+        native = Trajectory([0.0, 1.0], [(1e308, 1.0), (1e308, 1.0)], [(0.0, 0.0), (0.0, 0.0)])
+        with pytest.raises(SsflowError, match="finite"):
+            pme_trajectory_to_unified(native, PMEParams(-2.0, 1.0, 0.3))
+
+    def test_numpy_scalar_settings_and_params_store_the_same_floats(self):
+        given = IntegrationSettings(rel_tol=np.float64(1e-9), abs_tol=np.float64(1e-12), max_step=np.float64(0.05))
+        floats = IntegrationSettings(rel_tol=1e-9, abs_tol=1e-12, max_step=0.05)
+        rhs = ple_native_system_xy(PLEParams(3.0, 1.0, 1.0 / 3.0))
+        native = integrate(rhs, (0.2, 0.3), (0.0, 1.0), given)
+        assert native == integrate(rhs, (0.2, 0.3), (0.0, 1.0), floats)
+        for params in (PLEParams(np.float64(3.0), np.float64(1.0), np.float64(1.0 / 3.0)),
+                       PLEParams(3.0, 1.0, 1.0 / 3.0)):
+            mapped = ple_trajectory_to_unified(native, params)
+            for traj in (native, mapped):
+                assert {type(v) for row in traj.points + traj.slopes for v in (*row, *traj.grid)} == {float}
+        assert mapped == ple_trajectory_to_unified(native, PLEParams(np.float64(3.0), 1.0, np.float64(1.0 / 3.0)))
 
 
 class TestCompareTrajectories:
@@ -954,15 +983,34 @@ class TestCompareOracle:
         for pair in ((a, b), (b, a)):
             assert _assert_same_deviation(*pair) > 1e-3
 
-    def test_nan_derivatives_give_nan(self):
+    # A slope that is not finite makes the interpolant NaN at its own nodes too (0 * inf, 0 * NaN),
+    # so a node may stand in for its interpolant only where all four slopes of its step are finite.
+    @pytest.mark.parametrize(
+        "slope,nodes,reverse",
+        [
+            (math.nan, (0,), False), (math.nan, (3,), False), (math.nan, (6,), False),
+            (math.inf, (0,), False), (math.inf, (3,), False), (math.inf, (6,), False),
+            (-math.inf, (0,), False), (-math.inf, (3,), False), (-math.inf, (6,), False),
+            (1e308, tuple(range(7)), False),  # finite, though two slopes of a step sum to inf
+            (math.nan, (6,), True),  # the last node of a reversed orbit starts its first ascending step
+        ],
+        ids=["nan-first", "nan-middle", "nan-last", "inf-first", "inf-middle", "inf-last",
+             "minus-inf-first", "minus-inf-middle", "minus-inf-last", "overflowing-sum", "nan-last-reversed"],
+    )
+    def test_nan_derivatives_give_nan(self, slope, nodes, reverse):
         r1 = np.linspace(0.0, 1.0, 7)
-        states = np.column_stack([r1, r1 * r1])
-        for nan_at in (0, 3, 6):
-            derivs = np.ones((7, 2))
-            derivs[nan_at, 1] = np.nan
-            a = Trajectory(r1, states, derivs)
-            b = Trajectory(r1[::2] * 1.0, states[::2] + 1e-3, np.ones((4, 2)))
-            assert math.isnan(_assert_same_deviation(a, b))
+        grid = r1[::-1] if reverse else r1
+        derivs = np.ones((7, 2))
+        derivs[list(nodes), 1] = slope
+        a = Trajectory(grid, np.column_stack([grid, grid * grid]), derivs)
+        # b covers a, and its two nodes inside lie on steps away from a's first, middle and last node,
+        # so only a's own nodes meet the non-finite slope
+        g = np.linspace(-0.05, 1.05, 4)
+        b = Trajectory(g, np.column_stack([g, g * g]) + 1e-3, np.ones((4, 2)))
+        for pair in ((a, b), (b, a)):
+            with np.errstate(invalid="ignore", over="ignore"):  # the reference's 0 * inf
+                dev = _assert_same_deviation(*pair)
+            assert math.isnan(dev) is not math.isfinite(slope)
 
 
 class TestKernelCounters:

@@ -451,3 +451,10 @@ class TestSingleImplementation:
     def test_state_to_profile_pme_outside_support(self):
         with pytest.raises(OutsideSupportError):
             state_to_profile(PhaseState(-0.1, 0.5), 1.0, PME)
+
+    # eta^2 overflows, so Y/eta^2 (X/eta^2) is 0.0 raised to a negative power, or eta^2 underflows to 0.0
+    @pytest.mark.parametrize("eta", [1e200, 1e-300])
+    @pytest.mark.parametrize("params", [PMEParams(2.0, 1.0, 0.3), PLEParams(3.0, 1.0, 0.25)], ids=["pme", "ple"])
+    def test_state_to_profile_refuses_eta_squared_out_of_range(self, params, eta):
+        with pytest.raises(DomainError, match="eta"):
+            state_to_profile(PhaseState(1.0, 1.0), eta, params)

@@ -108,6 +108,20 @@ class TestBarenblattPLE:
         assert max_residual(prof) < 1e-10
 
 
+class TestBarenblattPLEDegenerate:
+    """p = 0 and p = 1 are refused, and so is a beta1 that underflows to 0.0, before A divides or powers."""
+
+    @pytest.mark.parametrize("p", [0.0, -0.0, 1.0])
+    def test_exponent_refused(self, p):
+        with pytest.raises(DegenerateError, match="p ="):
+            barenblatt_ple(p, 3.0)
+
+    @pytest.mark.parametrize("p,n", [(1e-300, 1e308), (-1e300, 1e300), (0.3, math.inf)])
+    def test_beta1_underflow_refused(self, p, n):
+        with pytest.raises(DomainError):
+            barenblatt_ple(p, n)
+
+
 class TestDipolePME:
     def test_reference_shape(self):
         prof = dipole_pme(2.0, 1.0, 1.0)
@@ -384,6 +398,24 @@ class TestInteriorPoints:
     def test_fewer_than_one_point_refused(self, count):
         with pytest.raises(DomainError, match="count"):
             barenblatt_pme(2.0, 1.0, 1.0).interior_points(count)
+
+
+class TestEmptySupport:
+    """A free boundary that underflows to eta = 0.0 leaves no support to sample: refused when built."""
+
+    def test_dipole_derivative_edge_underflow(self):
+        with pytest.raises(DomainError, match="support"):
+            dipole_derivative_ple(1e-300, 0.25)
+
+    # E < 0 here, so L/c underflowing to 0.0 puts the edge past the float range instead
+    @pytest.mark.parametrize("p,n,C", [(0.25, 1.0, 5e-324), (1e-300, 1e300, 1.0)])
+    def test_barenblatt_edge_past_the_float_range(self, p, n, C):
+        with pytest.raises(DomainError, match="support"):
+            barenblatt_ple(p, n, C)
+
+    def test_dipole_derivative_exponent_rounding_to_minus_one(self):
+        with pytest.raises(DegenerateError, match="integrable"):
+            dipole_derivative_ple(0.9999999999999999, 2.0)
 
 
 class TestSelfSimilarValue:
