@@ -8,10 +8,14 @@ The step runs on Python floats: its stage and error sums are plain left-to-right
 sums, and the accepted nodes go into the ``Trajectory`` as the same float pairs,
 so integrating imports no numpy and no trajectory depends on a BLAS.
 
+The ``Trajectory`` keeps those floats as they are: it skips the conversion
+pass for them (as it does for the trajectory maps of ``phase_plane``), while
+its finite and strictly-monotone checks run on every trajectory it holds.
+
 Stopping events are threshold crossings of one state component, located by
 bisection on the cubic Hermite interpolant of the accepted step;
-``compare_trajectories`` evaluates the same interpolant in one walk over each
-orbit's nodes.
+``compare_trajectories`` evaluates the same interpolant of each orbit at the
+other orbit's nodes, since at its own nodes an orbit's interpolant is the node.
 """
 
 from __future__ import annotations
