@@ -259,10 +259,10 @@ class TestProducersKeepTheChecks:
             pme_trajectory_to_unified(native, PMEParams(-2.0, 1.0, 0.3))
 
     def test_numpy_scalar_settings_and_params_store_the_same_floats(self):
-        given = IntegrationSettings(rel_tol=np.float64(1e-9), abs_tol=np.float64(1e-12), max_step=np.float64(0.05))
+        scalars = IntegrationSettings(rel_tol=np.float64(1e-9), abs_tol=np.float64(1e-12), max_step=np.float64(0.05))
         floats = IntegrationSettings(rel_tol=1e-9, abs_tol=1e-12, max_step=0.05)
         rhs = ple_native_system_xy(PLEParams(3.0, 1.0, 1.0 / 3.0))
-        native = integrate(rhs, (0.2, 0.3), (0.0, 1.0), given)
+        native = integrate(rhs, (0.2, 0.3), (0.0, 1.0), scalars)
         assert native == integrate(rhs, (0.2, 0.3), (0.0, 1.0), floats)
         for params in (PLEParams(np.float64(3.0), np.float64(1.0), np.float64(1.0 / 3.0)),
                        PLEParams(3.0, 1.0, 1.0 / 3.0)):
