@@ -1,15 +1,45 @@
 """Value records shared by the modules.
 
-A radial profile sample, the worst-deviation rule, and the pass/fail record
-of one named check that streams it, on Python floats alone.
+The frozen record base, a radial profile sample, the worst-deviation rule, and
+the pass/fail record of one named check that streams it, on Python floats alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import DomainError
+
+
+class _Record:
+    """A frozen value record: equal, hashed and shown by the fields its ``_fields`` names, in order.
+
+    Records of different classes are never equal.  Each subclass validates its arguments in its own
+    ``__init__`` and stores them with ``vars(self).update``; that ``__dict__`` serves ``cached_property``,
+    pickle and ``copy``.
+    """
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls._fields)  # the field tuple (of two or more fields); not a method, so unbound
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -17,16 +47,14 @@ def _check_positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be positive and finite, got {value}")
 
 
-@dataclass(frozen=True)
-class ProfileSample:
+class ProfileSample(_Record):
     """One radial sample (eta, f(eta), f'(eta)) with 0 < eta < inf."""
 
-    eta: float
-    f: float
-    fprime: float
+    _fields = ("eta", "f", "fprime")
 
-    def __post_init__(self):
-        _check_positive("eta", self.eta)
+    def __init__(self, eta: float, f: float, fprime: float):
+        _check_positive("eta", eta)
+        vars(self).update(eta=eta, f=f, fprime=fprime)
 
 
 def _worst(devs) -> float:
@@ -40,25 +68,19 @@ def _worst(devs) -> float:
     return worst
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    max_dev: float
-    tol: float
+    def __init__(self, name: str, passed: bool, max_dev: float, tol: float):
+        self.name, self.passed, self.max_dev, self.tol = name, passed, max_dev, tol
 
     def as_dict(self) -> dict:
         return {"name": self.name, "pass": self.passed, "max_dev": self.max_dev, "tol": self.tol}
 
 
-@dataclass
 class _Agg:
     """Running worst-deviation aggregator for one named check: ``_worst`` fed one value at a time."""
 
-    tol: float
-    max_dev: float = 0.0
-    failures: int = 0
-    samples: int = 0
+    def __init__(self, tol: float):
+        self.tol, self.max_dev, self.failures, self.samples = tol, 0.0, 0, 0
 
     def add(self, dev: float) -> None:
         self.samples += 1

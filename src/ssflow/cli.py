@@ -152,10 +152,10 @@ def cmd_map(args) -> int:
         try:
             image = pme_to_ple(params, branch) if is_pme else ple_to_pme(params, branch)
             rep = verify_equivalence(params, image, tol) if is_pme else verify_equivalence(image, params, tol)
+            entry = _params_dict(image)  # refuses an image whose alpha overflows
         except SsflowError as exc:
             errors.append({"branch": branch.value, "type": type(exc).__name__, "message": str(exc)})
             continue
-        entry = _params_dict(image)
         entry["branch"] = branch.value
         entry["orientation_flipped"] = rep.flipped
         targets.append(entry)

@@ -15,10 +15,9 @@ satisfy 1/n'_1 + 1/n'_2 = (2-p)/p and 1/(n_1-2) + 1/(n_2-2) = (1-m)/(2m).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-from ._records import _worst
+from ._records import _Record, _worst
 from .errors import (
     CriticalError,
     DegenerateError,
@@ -35,8 +34,7 @@ class Branch(Enum):
     BRANCH2 = 2
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(_Record):
     """The coefficient identities of a parameter pair, each measured once by ``verify_equivalence``.
 
     ``c_max_rel_dev`` is the worst relative (c1, c2, c3) deviation in the better of the
@@ -48,13 +46,12 @@ class EquivalenceReport:
     orientation because the dimension quadratic squares the c3 identification.
     """
 
-    c_max_rel_dev: float
-    beta_dev: float
-    b_ratio_dev: float
-    sign_match: bool
-    psi_match: bool
-    tol: float
-    flipped: bool = False
+    _fields = ("c_max_rel_dev", "beta_dev", "b_ratio_dev", "sign_match", "psi_match", "tol", "flipped")
+
+    def __init__(self, c_max_rel_dev: float, beta_dev: float, b_ratio_dev: float, sign_match: bool,
+                 psi_match: bool, tol: float, flipped: bool = False):
+        vars(self).update(c_max_rel_dev=c_max_rel_dev, beta_dev=beta_dev, b_ratio_dev=b_ratio_dev,
+                          sign_match=sign_match, psi_match=psi_match, tol=tol, flipped=flipped)
 
     @property
     def c_match(self) -> bool:

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import chain
 
-from ._records import _worst
+from ._records import _Record, _worst
 from .errors import ComparisonError, DomainError, IntegrationFailure
 from .phase_plane import Trajectory, _pair
 
@@ -51,39 +50,35 @@ _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 4
 _ROWS = tuple(tuple((j, a) for j, a in enumerate(row) if a != 0.0) for row in _A[1:] + (_E,))
 
 
-@dataclass(frozen=True)
-class StopEvent:
+class StopEvent(_Record):
     """Stop when ``state[component]`` crosses ``bound``.
 
     direction +1 triggers on upward crossings, -1 on downward, 0 on either.
     """
 
-    component: int
-    bound: float
-    direction: int = 0
+    _fields = ("component", "bound", "direction")
 
-    def __post_init__(self):
-        if self.component not in (0, 1):
+    def __init__(self, component: int, bound: float, direction: int = 0):
+        if component not in (0, 1):
             raise DomainError("component must be 0 or 1")
-        if self.direction not in (-1, 0, 1):
+        if direction not in (-1, 0, 1):
             raise DomainError("direction must be -1, 0 or +1")
+        vars(self).update(component=component, bound=bound, direction=direction)
 
 
-@dataclass(frozen=True)
-class IntegrationSettings:
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_step: float = math.inf
-    max_steps: int = 100_000
-    stop_events: tuple[StopEvent, ...] = ()
+class IntegrationSettings(_Record):
+    _fields = ("rel_tol", "abs_tol", "max_step", "max_steps", "stop_events")
 
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+    def __init__(self, rel_tol: float = 1e-9, abs_tol: float = 1e-12, max_step: float = math.inf,
+                 max_steps: int = 100_000, stop_events: tuple[StopEvent, ...] = ()):
+        if not (0.0 < rel_tol < math.inf and 0.0 < abs_tol < math.inf):
             raise DomainError("tolerances must be positive and finite")
-        if not self.max_step > 0.0:  # refuses NaN; the default inf means no cap
+        if not max_step > 0.0:  # refuses NaN; the default inf means no cap
             raise DomainError("max_step must be positive")
-        if self.max_steps <= 0:
+        if max_steps <= 0:
             raise DomainError("max_steps must be positive")
+        vars(self).update(rel_tol=rel_tol, abs_tol=abs_tol, max_step=max_step, max_steps=max_steps,
+                          stop_events=stop_events)
 
 
 def _hermite_weights(theta, h):

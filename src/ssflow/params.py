@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 
+from ._records import _Record
 from .errors import DegenerateError, DomainError
 
 # Construction rejects |m - 1| (or |p - 2|) below this: the near-linear case
@@ -55,38 +55,32 @@ class SimilarityType(Enum):
         return {1: 1, 2: -1, 3: 0}[self.value]
 
 
-@dataclass(frozen=True)
-class PMEParams:
+class PMEParams(_Record):
     """Porous-medium parameters: diffusion exponent m != 1, dimension n > 0."""
 
-    m: float
-    n: float
-    beta: float
-    sim_type: SimilarityType = SimilarityType.TYPE_I
+    _fields = ("m", "n", "beta", "sim_type")
 
-    def __post_init__(self):
-        _check_finite(self.m, self.n, self.beta)
-        if abs(self.m - 1.0) < LINEAR_TOL:
+    def __init__(self, m: float, n: float, beta: float, sim_type: SimilarityType = SimilarityType.TYPE_I):
+        _check_finite(m, n, beta)
+        if abs(m - 1.0) < LINEAR_TOL:
             raise DegenerateError("m = 1 is the linear heat equation; excluded")
-        if self.n <= 0.0:
-            raise DomainError(f"dimension n must be positive, got {self.n}")
+        if n <= 0.0:
+            raise DomainError(f"dimension n must be positive, got {n}")
+        vars(self).update(m=m, n=n, beta=beta, sim_type=sim_type)
 
 
-@dataclass(frozen=True)
-class PLEParams:
+class PLEParams(_Record):
     """p-Laplacian parameters: exponent p != 2, dimension n > 0."""
 
-    p: float
-    n: float
-    beta: float
-    sim_type: SimilarityType = SimilarityType.TYPE_I
+    _fields = ("p", "n", "beta", "sim_type")
 
-    def __post_init__(self):
-        _check_finite(self.p, self.n, self.beta)
-        if abs(self.p - 2.0) < LINEAR_TOL:
+    def __init__(self, p: float, n: float, beta: float, sim_type: SimilarityType = SimilarityType.TYPE_I):
+        _check_finite(p, n, beta)
+        if abs(p - 2.0) < LINEAR_TOL:
             raise DegenerateError("p = 2 is the linear heat equation; excluded")
-        if self.n <= 0.0:
-            raise DomainError(f"dimension n must be positive, got {self.n}")
+        if n <= 0.0:
+            raise DomainError(f"dimension n must be positive, got {n}")
+        vars(self).update(p=p, n=n, beta=beta, sim_type=sim_type)
 
     @property
     def gamma(self) -> float:
@@ -94,8 +88,7 @@ class PLEParams:
         return self.p / (2.0 - self.p)
 
 
-@dataclass(frozen=True)
-class CriticalExponents:
+class CriticalExponents(_Record):
     """The four critical exponents of a given dimension n.
 
     m_c, p_c mark b = 0 (the reduction loses its constant term); m_s, p_s are
@@ -103,14 +96,13 @@ class CriticalExponents:
     branches merge.  They satisfy p_s = m_s + 1 for the same n.
     """
 
-    m_c: float
-    m_s: float
-    p_c: float
-    p_s: float
+    _fields = ("m_c", "m_s", "p_c", "p_s")
+
+    def __init__(self, m_c: float, m_s: float, p_c: float, p_s: float):
+        vars(self).update(m_c=m_c, m_s=m_s, p_c=p_c, p_s=p_s)
 
 
-@dataclass(frozen=True)
-class UnifiedCoefficients:
+class UnifiedCoefficients(_Record):
     """Constants of the quadratic system shared by both equations.
 
     ``sqrt_abs_b`` holds sqrt(|b|) in the generic case.  In the critical case
@@ -120,13 +112,12 @@ class UnifiedCoefficients:
     similarity-type coefficient of Psi (+1, -1 or 0).
     """
 
-    c1: float
-    c2: float
-    c3: float
-    sqrt_abs_b: float
-    const_term: int
-    psi_coeff: int
-    critical: bool = False
+    _fields = ("c1", "c2", "c3", "sqrt_abs_b", "const_term", "psi_coeff", "critical")
+
+    def __init__(self, c1: float, c2: float, c3: float, sqrt_abs_b: float, const_term: int, psi_coeff: int,
+                 critical: bool = False):
+        vars(self).update(c1=c1, c2=c2, c3=c3, sqrt_abs_b=sqrt_abs_b, const_term=const_term, psi_coeff=psi_coeff,
+                          critical=critical)
 
     @property
     def b(self) -> float:
@@ -148,23 +139,30 @@ def alpha_from(params) -> float:
     Porous medium: (m-1)*alpha + 2*beta = +1 (Type I), -1 (Type II), and
     alpha*(1-m) = 2*beta for Type III.  p-Laplacian: (p-2)*alpha + p*beta
     with the same right-hand sides, and alpha*(2-p) = p*beta for Type III.
+    Raises DomainError where alpha overflows.
     """
     st = params.sim_type
     if isinstance(params, PMEParams):
         m, beta = params.m, params.beta
         if st is SimilarityType.TYPE_I:
-            return (1.0 - 2.0 * beta) / (m - 1.0)
-        if st is SimilarityType.TYPE_II:
-            return (-1.0 - 2.0 * beta) / (m - 1.0)
-        return 2.0 * beta / (1.0 - m)
-    if isinstance(params, PLEParams):
+            alpha = (1.0 - 2.0 * beta) / (m - 1.0)
+        elif st is SimilarityType.TYPE_II:
+            alpha = (-1.0 - 2.0 * beta) / (m - 1.0)
+        else:
+            alpha = 2.0 * beta / (1.0 - m)
+    elif isinstance(params, PLEParams):
         p, beta = params.p, params.beta
         if st is SimilarityType.TYPE_I:
-            return (1.0 - p * beta) / (p - 2.0)
-        if st is SimilarityType.TYPE_II:
-            return (-1.0 - p * beta) / (p - 2.0)
-        return p * beta / (2.0 - p)
-    raise TypeError(f"expected PMEParams or PLEParams, got {type(params).__name__}")
+            alpha = (1.0 - p * beta) / (p - 2.0)
+        elif st is SimilarityType.TYPE_II:
+            alpha = (-1.0 - p * beta) / (p - 2.0)
+        else:
+            alpha = p * beta / (2.0 - p)
+    else:
+        raise TypeError(f"expected PMEParams or PLEParams, got {type(params).__name__}")
+    if not math.isfinite(alpha):  # a huge beta, or one over an |m - 1| (|p - 2|) just above LINEAR_TOL
+        raise DomainError(f"alpha of {params} overflows: {alpha}")
+    return alpha
 
 
 # Bounded: callers that draw a fresh n per operation would grow an unbounded cache.

@@ -20,12 +20,11 @@ import math
 import numbers
 import operator
 import warnings
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
-from ._records import ProfileSample, _check_positive
+from ._records import ProfileSample, _Record, _check_positive
 from .errors import (
     AnchorMismatchError,
     CriticalError,
@@ -111,8 +110,7 @@ def _array(values, *shape):
     return array
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Record):
     """An integrated orbit: strictly monotone independent variable, 2d states.
 
     ``grid`` holds the independent variable as floats, ``points`` the states and
@@ -129,14 +127,9 @@ class Trajectory:
     fired stop ``event`` (mapped orbits add ``system``, ``mapped_from``).
     """
 
-    grid: tuple[float, ...]
-    points: tuple[tuple[float, float], ...]
-    slopes: tuple[tuple[float, float], ...]
-    status: str = "completed"
-    meta: dict = field(default_factory=dict)
+    _fields = ("grid", "points", "slopes", "status", "meta")
 
-    def __post_init__(self):
-        grid = self.grid
+    def __init__(self, grid, points, slopes, status: str = "completed", meta: dict | None = None):
         if hasattr(grid, "tolist") and not isinstance(grid, memoryview):  # a memoryview lists its byte codes
             grid = grid.tolist()
         try:
@@ -145,12 +138,10 @@ class Trajectory:
             grid = tuple(grid)
             if set(map(type, grid)) - {float}:  # ints, numpy scalars: each node through the pair rule
                 grid = tuple(r for r, _ in map(_pair, zip(grid, grid)))
-            points, slopes = _float_pairs(self.points), _float_pairs(self.slopes)
+            points, slopes = _float_pairs(points), _float_pairs(slopes)
         except TypeError:
             raise DomainError("a trajectory is a sequence of real numbers and two sequences of pairs") from None
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "slopes", slopes)
+        vars(self).update(grid=grid, points=points, slopes=slopes, status=status, meta={} if meta is None else meta)
         self._check()
 
     @classmethod
@@ -272,7 +263,7 @@ def _ple_forward(params: PLEParams, s, linear=False):
     a = 1/(|b|(p-1)) and k = -(p-2)/((p-1) sqrt|b|); ``linear`` drops gamma - n."""
     p, alpha, beta = params.p, float(alpha_from(params)), float(params.beta)
     shift = 0.0 if linear else float(params.gamma - params.n)
-    a = float(1.0 / (s * s * (p - 1.0)))
+    a = float(_ple_scale(p, s))
     k = float(-(p - 2.0) / ((p - 1.0) * s))
 
     def forward(x, y):
@@ -281,11 +272,19 @@ def _ple_forward(params: PLEParams, s, linear=False):
     return forward
 
 
+def _ple_scale(p, s):
+    """a = 1/(|b|(p-1)) of Psi = a X; DomainError where |b| = s*s underflows to 0.0."""
+    try:
+        return 1.0 / (s * s * (p - 1.0))
+    except ZeroDivisionError:
+        raise DomainError(f"|b| (p - 1) underflows to 0 at sqrt|b| = {s}, p = {p}") from None
+
+
 def _ple_inverse(psi, phi, params: PLEParams, s):
     """(X, Y) from (Psi, Phi); needs X = Psi/a > 0 and alpha != 0 to solve the Phi definition for Y."""
     p = params.p
     alpha = alpha_from(params)
-    a = 1.0 / (s * s * (p - 1.0))
+    a = _ple_scale(p, s)
     x = psi / a
     if not x > 0.0:
         raise OrientationError(f"the inverse embedding needs X = Psi/a > 0, got Psi = {psi} with a = {a}")
@@ -361,7 +360,10 @@ def state_to_profile(state, eta: float, params, coeffs: UnifiedCoefficients | No
         return ProfileSample(float(eta), float(f), float(x * f / eta))
     x, y = _ple_inverse(psi, phi, params, s)
     p = params.p
-    z = y / x ** ((p - 1.0) / (p - 2.0))  # Z = eta^gamma f; X > 0 here
+    try:
+        z = y / x ** ((p - 1.0) / (p - 2.0))  # Z = eta^gamma f; X > 0 here
+    except ZeroDivisionError:
+        raise DomainError(f"X = {x}: X^((p-1)/(p-2)) underflows to 0") from None
     fp = -_eta_scaled_power(x, eta, 1.0 / (2.0 - p))
     return ProfileSample(float(eta), float(z * eta ** (-params.gamma)), float(fp))
 

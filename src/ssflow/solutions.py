@@ -29,11 +29,10 @@ whichever SIMD loops numpy would pick on the CPU at hand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
 
-from ._records import ProfileSample, _check_positive, _worst
+from ._records import ProfileSample, _Record, _check_positive, _worst
 from .errors import (
     CriticalError,
     DegenerateError,
@@ -54,8 +53,7 @@ from .params import (
 )
 
 
-@dataclass(frozen=True)
-class ClosedFormProfile:
+class ClosedFormProfile(_Record):
     """A radial profile with analytic first and second derivatives.
 
     ``support`` is the open interval of eta where the profile is admissible
@@ -66,12 +64,13 @@ class ClosedFormProfile:
     otherwise.
     """
 
-    constants: dict = field(default_factory=dict)
-    params: object = None
-    f: Callable[[float], float] = None
-    fprime: Callable[[float], float] = None
-    fsecond: Callable[[float], float] = None
-    support: tuple[float, float] = (0.0, math.inf)
+    _fields = ("constants", "params", "f", "fprime", "fsecond", "support")
+
+    def __init__(self, constants: dict | None = None, params: object = None, f: Callable[[float], float] = None,
+                 fprime: Callable[[float], float] = None, fsecond: Callable[[float], float] = None,
+                 support: tuple[float, float] = (0.0, math.inf)):
+        vars(self).update(constants={} if constants is None else constants, params=params, f=f, fprime=fprime,
+                          fsecond=fsecond, support=support)
 
     def interior_points(self, count: int = 50) -> list[float]:
         """Log-spaced points strictly inside the support, ``_geomspace`` between two margins.

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -70,6 +69,17 @@ class TestMapCommand:
             assert isinstance(check["max_dev"], float) and check["max_dev"] <= check["tol"], check
             if check["name"].endswith("sign_match"):
                 assert check["max_dev"] == 0.0
+
+    # Branch 2's alpha' = (1 - p' beta')/(p' - 2) overflows; before, its target printed "alpha": -Infinity
+    def test_a_branch_whose_alpha_overflows_is_a_branch_error(self):
+        res = run_cli("map", "--eq", "pme", "--m", "0.25", "--n", "10", "--beta", "3e307")
+        data = json.loads(res.stdout)
+        (target,) = data["targets"]
+        assert target["branch"] == 1 and math.isfinite(target["alpha"])
+        (error,) = data["branch_errors"]
+        assert error["branch"] == 2 and error["type"] == "DomainError" and "alpha" in error["message"]
+        assert not any(c["name"].startswith("branch2_") for c in data["checks"])
+        assert res.returncode == 2 and data["status"] == "fail"  # Branch 1's beta identity is NaN
 
 
 class TestCoeffsCommand:
@@ -391,7 +401,7 @@ class TestExplicitFalseSuccess:
         def nan_at_third_point(*args):
             profile = build(*args)
             bad = profile.interior_points(5)[2]
-            return dataclasses.replace(profile, f=lambda eta: math.nan if eta == bad else profile.f(eta))
+            return type(profile)(**{**vars(profile), "f": lambda eta: math.nan if eta == bad else profile.f(eta)})
 
         monkeypatch.setattr(solutions, "barenblatt_pme", nan_at_third_point)
         rc = cli.main(["explicit", "--kind", "barenblatt-pme", "--m", "2", "--n", "1", "--points", "5"])
@@ -412,18 +422,26 @@ class TestExplicitFalseSuccess:
 
 
 class TestImportBudget:
-    """No command loads SciPy or numpy; numpy loads when a caller reads a Trajectory's arrays."""
+    """No command loads SciPy or numpy; numpy loads when a caller reads a Trajectory's arrays.
+
+    Nor does ssflow load ``dataclasses`` or ``inspect``, which cost a cold start about 7 ms: the
+    probe reports which of the two were loaded after the interpreter's own start-up (``site`` may
+    load modules first).
+    """
 
     @staticmethod
     def _run_in_fresh_process(argv=None, modules="ssflow, ssflow.cli"):
         # main() prints CSV/JSON to stdout, so the probe result goes on the last line
         code = (
             "import json, sys\n"
+            "slow = ('dataclasses', 'inspect')\n"
+            "before = {name for name in slow if name in sys.modules}\n"
             f"import {modules}\n"
             f"argv = {argv!r}\n"
             "rc = None if argv is None else ssflow.cli.main(argv)\n"
             "print()\n"
-            "print(json.dumps({'rc': rc, 'numpy': 'numpy' in sys.modules, 'scipy': 'scipy' in sys.modules}))\n"
+            "print(json.dumps({'rc': rc, 'numpy': 'numpy' in sys.modules, 'scipy': 'scipy' in sys.modules,\n"
+            "                  'slow': sorted(name for name in slow if name in sys.modules and name not in before)}))\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
@@ -436,6 +454,7 @@ class TestImportBudget:
         probe, _ = self._run_in_fresh_process()
         assert probe["numpy"] is False
         assert probe["scipy"] is False
+        assert probe["slow"] == []
 
     @pytest.mark.parametrize(
         "argv",
@@ -465,6 +484,7 @@ class TestImportBudget:
         assert probe["rc"] == 0
         assert probe["numpy"] is False
         assert probe["scipy"] is False
+        assert probe["slow"] == []
 
     def test_trajectory_arrays_load_numpy_on_first_read(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -818,10 +838,19 @@ class TestArgumentFuzzFindings:
             (("explicit", "--kind", "dipole-pme", "--m", "-1", "--n", "1e300"), "OutsideSupportError"),
             (("explicit", "--kind", "barenblatt-ple", "--p", "1.0000000000000002", "--n", "2.0000000000000004"),
              "SingularEvaluationError"),
+            # found with other seeds: |b| = s*s underflows in the p-Laplacian inverse, and X^((p-1)/(p-2)) does
+            (("profile", "--eq", "ple", "--p", "0", "--n", "1e-300", "--beta", "1e300", "--psi0", "0.25",
+              "--phi0", "5e-324", "--max-steps", "1000", "--anchor-eta", "5e-324"), "DomainError"),
+            (("profile", "--eq", "ple", "--p", "4", "--n", "0.3", "--beta", "-1", "--sim-type", "3", "--psi0",
+              "5e-324", "--phi0", "1e-300", "--max-step", "0.9999999999999999", "--span", "-0.5", "-1e300",
+              "--max-steps", "50", "--anchor-eta", "0.25"), "DomainError"),
+            # both branch images are refused: Branch 1's beta' and Branch 2's alpha' overflow
+            (("map", "--eq", "ple", "--p", "1.2", "--n", "2", "--beta", "1e308"), "DomainError"),
         ],
         ids=["map-F-zero-p3", "map-F-zero-p-third", "barenblatt-ple-p-zero", "barenblatt-ple-p-one",
              "barenblatt-ple-beta1-underflow", "dipole-derivative-empty-support", "profile-anchor-eta-huge",
-             "profile-anchor-eta-tiny", "explicit-residual-outside-support", "explicit-residual-singular"],
+             "profile-anchor-eta-tiny", "explicit-residual-outside-support", "explicit-residual-singular",
+             "profile-ple-scale-underflow", "profile-ple-x-power-underflow", "map-alpha-overflow"],
     )
     def test_json_error(self, argv, kind):
         res = run_cli(*argv)

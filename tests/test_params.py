@@ -49,6 +49,18 @@ class TestAlphaFrom:
         assert (p - 2.0) * alpha + p * beta == pytest.approx(target, abs=1e-12)
 
 
+    # (1 - 2 beta)/(m - 1) and (-1 - p beta)/(p - 2) leave the float range: no parameter is printed non-finite
+    @pytest.mark.parametrize(
+        "params",
+        [PMEParams(0.2, 4.0, -1e308), PMEParams(3.0, 1.0, 1e308, T2), PLEParams(1.5, 1.0, 1e308, T2),
+         PMEParams(1.5, 1.0, 1e308, T3)],
+        ids=["pme-type1", "pme-type2", "ple-type2", "pme-type3"],
+    )
+    def test_overflowing_alpha_refused(self, params):
+        with pytest.raises(DomainError, match="overflow"):
+            alpha_from(params)
+
+
 class TestCriticalExponents:
     @pytest.mark.parametrize(
         "n,m_c,m_s,p_c,p_s",

@@ -458,3 +458,18 @@ class TestSingleImplementation:
     def test_state_to_profile_refuses_eta_squared_out_of_range(self, params, eta):
         with pytest.raises(DomainError, match="eta"):
             state_to_profile(PhaseState(1.0, 1.0), eta, params)
+
+    # p = 0 sits in the critical band of p_c(1e-300) ~ 2e-300, so sqrt|b| = n = 1e-300 and |b| underflows to 0.0
+    def test_ple_embedding_refuses_an_underflowing_scale(self):
+        params = PLEParams(0.0, 1e-300, 1.0)
+        with pytest.raises(DomainError, match="underflows"):
+            unified_to_ple(PhaseState(0.25, 0.5), params)
+        with pytest.raises(DomainError, match="underflows"):
+            ple_to_unified(NativeStatePLE(1.0, 1.0), params)
+        with pytest.raises(DomainError, match="underflows"):
+            state_to_profile(PhaseState(0.25, 5e-324), 5e-324, params)
+
+    # X^((p-1)/(p-2)) = X^1.5 underflows to 0.0 for X near the smallest subnormal
+    def test_state_to_profile_ple_refuses_an_underflowing_x_power(self):
+        with pytest.raises(DomainError, match="underflows"):
+            state_to_profile(PhaseState(5e-324, 1e-300), 0.25, PLEParams(4.0, 0.3, -1.0, SimilarityType.TYPE_III))
