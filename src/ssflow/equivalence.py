@@ -22,6 +22,7 @@ from .errors import (
     CriticalError,
     DegenerateError,
     DimensionTwoError,
+    DomainError,
     UnphysicalDimensionError,
 )
 from .params import _EXCLUSION_TOL, PLEParams, PMEParams, _is_critical, critical_exponents, unified_coefficients
@@ -84,15 +85,12 @@ def coefficient_deviation(ca, cb) -> tuple[float, bool]:
     return same, False
 
 
-def _guard_pme_source(m: float, n: float, branch: Branch | None) -> None:
+def _guard_pme_source(m: float, n: float) -> None:
     if abs(n - 2.0) <= _EXCLUSION_TOL:
         raise DimensionTwoError("the dimension-change maps are not applicable for n = 2")
     m_c = critical_exponents(n).m_c
     if _is_critical(m, m_c, _EXCLUSION_TOL):
         raise CriticalError(f"m = m_c({n}) = {m_c}: no double branch at the critical exponent")
-    if m == 0.0 and branch is not Branch.BRANCH2:
-        # The second branch stays finite at m = 0 (it gives n' = 1); the first divides by 2m.
-        raise DegenerateError("m = 0 is only mapped by Branch2")
 
 
 def _guard_p_zero(m: float) -> None:
@@ -122,7 +120,7 @@ def _preimage(p: float, n_prime: float, branch: Branch) -> tuple[float, float]:
 
 def pme_branch_dimensions(m: float, n: float) -> tuple[float, float]:
     """Raw target dimensions (n'_1, n'_2) without the positivity check."""
-    _guard_pme_source(m, n, Branch.BRANCH2 if m == 0.0 else None)
+    _guard_pme_source(m, n)
     n1 = float("nan") if m == 0.0 else _image(m, n, Branch.BRANCH1)[0]
     return n1, _image(m, n, Branch.BRANCH2)[0]
 
@@ -143,7 +141,9 @@ def pme_to_ple(params: PMEParams, branch: Branch) -> PLEParams:
     target dimension raises, with the raw value attached to the error.
     """
     m, n, beta = params.m, params.n, params.beta
-    _guard_pme_source(m, n, branch)
+    _guard_pme_source(m, n)
+    if m == 0.0 and branch is not Branch.BRANCH2:  # Branch2 stays finite at m = 0 (n' = 1); Branch1 divides by 2m
+        raise DegenerateError("m = 0 is only mapped by Branch2")
     _guard_p_zero(m)
     p = m + 1.0
     n_prime, factor = _image(m, n, branch)
@@ -198,6 +198,14 @@ def _rel_dev(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
+def _square(name: str, x: float) -> float:
+    """x ** 2, whose OverflowError past about 1.3e154 becomes a DomainError naming the square."""
+    try:
+        return x ** 2
+    except OverflowError:
+        raise DomainError(f"the square of {name} = {x} overflows") from None
+
+
 def verify_equivalence(pme: PMEParams, ple: PLEParams, tol: float = DEFAULT_IDENTITY_TOL) -> EquivalenceReport:
     """Measure every coefficient identity of a matched parameter pair, the one place they are computed.
 
@@ -210,14 +218,14 @@ def verify_equivalence(pme: PMEParams, ple: PLEParams, tol: float = DEFAULT_IDEN
     cb = unified_coefficients(ple)
     if ca.critical or cb.critical:
         raise CriticalError("identity checks divide by b; critical parameters refused")
-    _guard_pme_source(pme.m, pme.n, Branch.BRANCH2)  # the maps' guards on the source (n = 2, m = m_c; m = 0 maps)
+    _guard_pme_source(pme.m, pme.n)  # the maps' guards on the source (n = 2, m = m_c; m = 0 maps on Branch2)
     _guard_p_zero(pme.m)
 
     c_max, flipped = coefficient_deviation(ca, cb)
     return EquivalenceReport(
         c_max_rel_dev=c_max,
-        beta_dev=_rel_dev((pme.beta * (pme.n - 2.0)) ** 2, (ple.beta * ple.n) ** 2),
-        b_ratio_dev=_rel_dev(cb.b / ca.b, (ple.n / (pme.n - 2.0)) ** 2),
+        beta_dev=_rel_dev(_square("beta (n - 2)", pme.beta * (pme.n - 2.0)), _square("beta' n'", ple.beta * ple.n)),
+        b_ratio_dev=_rel_dev(cb.b / ca.b, _square("n'/(n - 2)", ple.n / (pme.n - 2.0))),
         sign_match=ca.const_term == cb.const_term,
         psi_match=ca.psi_coeff == cb.psi_coeff,
         tol=tol,

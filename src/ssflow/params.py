@@ -24,16 +24,13 @@ from enum import Enum
 from ._records import _Record
 from .errors import DegenerateError, DomainError
 
-# Construction rejects |m - 1| (or |p - 2|) below this: the near-linear case
-# makes c1 = m/(m-1) blow up and poisons everything downstream.
-LINEAR_TOL = 1e-12
-
 # Default relative band around m_c (p_c) treated as the critical case; the
 # coefficients blow up like 1/sqrt|b| just outside it.
 DEFAULT_CRITICAL_TOL = 1e-9
 
-# Band around an excluded value (m_c, p_c, a vanishing exponent denominator) inside
-# which the dimension maps and the closed forms refuse to run.
+# Band around an excluded value (m = 1 or p = 2, where c1 = m/(m-1) blows up; p = 1, p = 0,
+# m_c, p_c, a vanishing exponent denominator) inside which the records, the coefficients,
+# the dimension maps and the closed forms refuse to run: |x - v| <= _EXCLUSION_TOL.
 _EXCLUSION_TOL = 1e-12
 
 
@@ -52,7 +49,7 @@ class SimilarityType(Enum):
     @property
     def psi_coeff(self) -> int:
         """Coefficient of Psi in the second unified equation: +1, -1 or 0."""
-        return {1: 1, 2: -1, 3: 0}[self.value]
+        return (1, -1, 0)[self._value_ - 1]  # _value_: Enum's value property costs ten times this tuple index
 
 
 class PMEParams(_Record):
@@ -61,11 +58,7 @@ class PMEParams(_Record):
     _fields = ("m", "n", "beta", "sim_type")
 
     def __init__(self, m: float, n: float, beta: float, sim_type: SimilarityType = SimilarityType.TYPE_I):
-        _check_finite(m, n, beta)
-        if abs(m - 1.0) < LINEAR_TOL:
-            raise DegenerateError("m = 1 is the linear heat equation; excluded")
-        if n <= 0.0:
-            raise DomainError(f"dimension n must be positive, got {n}")
+        _check_params(m, n, beta, "m", 1.0)
         vars(self).update(m=m, n=n, beta=beta, sim_type=sim_type)
 
 
@@ -75,11 +68,7 @@ class PLEParams(_Record):
     _fields = ("p", "n", "beta", "sim_type")
 
     def __init__(self, p: float, n: float, beta: float, sim_type: SimilarityType = SimilarityType.TYPE_I):
-        _check_finite(p, n, beta)
-        if abs(p - 2.0) < LINEAR_TOL:
-            raise DegenerateError("p = 2 is the linear heat equation; excluded")
-        if n <= 0.0:
-            raise DomainError(f"dimension n must be positive, got {n}")
+        _check_params(p, n, beta, "p", 2.0)
         vars(self).update(p=p, n=n, beta=beta, sim_type=sim_type)
 
     @property
@@ -127,40 +116,40 @@ class UnifiedCoefficients(_Record):
         return self.const_term * self.sqrt_abs_b * self.sqrt_abs_b
 
 
-def _check_finite(*values):
-    for v in values:
+def _check_params(x: float, n: float, beta: float, name: str, linear: float) -> None:
+    """The checks of either record: finite (x, n, beta), x outside the band of its linear value, n > 0."""
+    for v in (x, n, beta):
         if not math.isfinite(v):
             raise DomainError(f"parameters must be finite, got {v}")
+    if abs(x - linear) <= _EXCLUSION_TOL:
+        raise DegenerateError(f"{name} = {linear:g} is the linear heat equation; excluded")
+    if n <= 0.0:
+        raise DomainError(f"dimension n must be positive, got {n}")
+
+
+def _scaling(params) -> tuple[float, float, float]:
+    """(x, x1, k) of the scaling relation: (m, 1, 2) for the porous medium, (p, 2, p) for the p-Laplacian."""
+    if isinstance(params, PMEParams):
+        return params.m, 1.0, 2.0
+    if isinstance(params, PLEParams):
+        return params.p, 2.0, params.p
+    raise TypeError(f"expected PMEParams or PLEParams, got {type(params).__name__}")
 
 
 def alpha_from(params) -> float:
     """Similarity exponent alpha determined by beta through the scaling relation.
 
-    Porous medium: (m-1)*alpha + 2*beta = +1 (Type I), -1 (Type II), and
-    alpha*(1-m) = 2*beta for Type III.  p-Laplacian: (p-2)*alpha + p*beta
-    with the same right-hand sides, and alpha*(2-p) = p*beta for Type III.
-    Raises DomainError where alpha overflows.
+    (x - x1)*alpha + k*beta = e, with (x, x1, k) = (m, 1, 2) for the porous medium
+    and (p, 2, p) for the p-Laplacian, and e = +1 (Type I), -1 (Type II) or 0
+    (Type III).  Type III is solved as alpha = k*beta/(x1 - x), which keeps the
+    sign of a zero alpha.  Raises DomainError where alpha overflows.
     """
-    st = params.sim_type
-    if isinstance(params, PMEParams):
-        m, beta = params.m, params.beta
-        if st is SimilarityType.TYPE_I:
-            alpha = (1.0 - 2.0 * beta) / (m - 1.0)
-        elif st is SimilarityType.TYPE_II:
-            alpha = (-1.0 - 2.0 * beta) / (m - 1.0)
-        else:
-            alpha = 2.0 * beta / (1.0 - m)
-    elif isinstance(params, PLEParams):
-        p, beta = params.p, params.beta
-        if st is SimilarityType.TYPE_I:
-            alpha = (1.0 - p * beta) / (p - 2.0)
-        elif st is SimilarityType.TYPE_II:
-            alpha = (-1.0 - p * beta) / (p - 2.0)
-        else:
-            alpha = p * beta / (2.0 - p)
+    x, x1, k = _scaling(params)
+    if params.sim_type is SimilarityType.TYPE_III:
+        alpha = k * params.beta / (x1 - x)
     else:
-        raise TypeError(f"expected PMEParams or PLEParams, got {type(params).__name__}")
-    if not math.isfinite(alpha):  # a huge beta, or one over an |m - 1| (|p - 2|) just above LINEAR_TOL
+        alpha = (params.sim_type.psi_coeff - k * params.beta) / (x - x1)
+    if not math.isfinite(alpha):  # a huge beta, or one over an |m - 1| (|p - 2|) just above _EXCLUSION_TOL
         raise DomainError(f"alpha of {params} overflows: {alpha}")
     return alpha
 
@@ -193,6 +182,15 @@ def _is_critical(value, crit, tol) -> bool:
     return abs(value - crit) <= tol * max(1.0, abs(crit))
 
 
+def _b(params) -> float:
+    """The constant b: 2n(m - m_c)/(m-1) for the porous medium, p(n+1)(p - p_c)/((p-2)(p-1)) for the p-Laplacian."""
+    n, crit = params.n, critical_exponents(params.n)
+    if isinstance(params, PMEParams):
+        return 2.0 * n * (params.m - crit.m_c) / (params.m - 1.0)
+    p = params.p
+    return p * (n + 1.0) * (p - crit.p_c) / ((p - 2.0) * (p - 1.0))
+
+
 def unified_coefficients(params, critical_tol: float = DEFAULT_CRITICAL_TOL) -> UnifiedCoefficients:
     """Reduce either parameter set to the coefficients of the unified system.
 
@@ -208,34 +206,22 @@ def unified_coefficients(params, critical_tol: float = DEFAULT_CRITICAL_TOL) -> 
         raise DomainError(f"critical_tol must be non-negative and finite, got {critical_tol}")
     psi = params.sim_type.psi_coeff
     crit = critical_exponents(params.n)
-    n = params.n
-    if isinstance(params, PMEParams):
-        m, beta = params.m, params.beta
-        c1 = m / (m - 1.0)
-        if _is_critical(m, crit.m_c, critical_tol):
-            s = n - 2.0
-            if s == 0.0:
-                raise DegenerateError("critical porous-medium case degenerates at n = 2")
-            return _no_overflow(c1, beta * s, -1.0, s, 0, psi, critical=True)
-        b = 2.0 * n * (m - crit.m_c) / (m - 1.0)
-        s = math.sqrt(abs(b))
-        c3 = (n + 2.0) * (m - crit.m_s) / ((m - 1.0) * s)
-        return _no_overflow(c1, beta * s, c3, s, _sign(b), psi, critical=False)
-    if isinstance(params, PLEParams):
-        p, beta = params.p, params.beta
-        c1 = (p - 1.0) / (p - 2.0)
-        if _is_critical(p, crit.p_c, critical_tol):
-            s = n
-            return _no_overflow(c1, beta * s, -1.0, s, 0, psi, critical=True)
-        if abs(p - 1.0) < LINEAR_TOL:
-            raise DegenerateError("p = 1: the phase-plane reduction divides by p - 1")
-        if abs(p) < LINEAR_TOL:
-            raise DegenerateError("p = 0 is the second root of b; the reduction degenerates")
-        b = p * (n + 1.0) * (p - crit.p_c) / ((p - 2.0) * (p - 1.0))
-        s = math.sqrt(abs(b))
-        c3 = (n + 2.0) * (p - crit.p_s) / ((p - 2.0) * s)
-        return _no_overflow(c1, beta * s, c3, s, _sign(b), psi, critical=False)
-    raise TypeError(f"expected PMEParams or PLEParams, got {type(params).__name__}")
+    x, x1, _ = _scaling(params)
+    n, beta, pme = params.n, params.beta, isinstance(params, PMEParams)
+    x_c, x_s, s = (crit.m_c, crit.m_s, n - 2.0) if pme else (crit.p_c, crit.p_s, n)
+    c1 = (x if pme else x - 1.0) / (x - x1)
+    if _is_critical(x, x_c, critical_tol):
+        if s == 0.0:
+            raise DegenerateError("critical porous-medium case degenerates at n = 2")
+        return _no_overflow(c1, beta * s, -1.0, s, 0, psi, critical=True)
+    if not pme and abs(x - 1.0) <= _EXCLUSION_TOL:
+        raise DegenerateError("p = 1: the phase-plane reduction divides by p - 1")
+    if not pme and abs(x) <= _EXCLUSION_TOL:
+        raise DegenerateError("p = 0 is the second root of b; the reduction degenerates")
+    b = _b(params)
+    s = math.sqrt(abs(b))
+    c3 = (n + 2.0) * (x - x_s) / ((x - x1) * s)
+    return _no_overflow(c1, beta * s, c3, s, _sign(b), psi, critical=False)
 
 
 def _sign(x: float) -> int:

@@ -47,6 +47,7 @@ from .params import (
     PLEParams,
     PMEParams,
     SimilarityType,
+    _b,
     _is_critical,
     alpha_from,
     critical_exponents,
@@ -126,6 +127,8 @@ def _power_law(A: float, q: float, L: float, c: float, E: float, e: float):
             edge = (L / c) ** (1.0 / E)
         except ZeroDivisionError:  # L/c underflowed to 0.0 and E < 0: the edge lies beyond the float range
             edge = math.inf
+        except OverflowError:
+            raise DomainError(f"the free boundary (L/c)^(1/E) = ({L}/{c})^(1/{E}) leaves the float range") from None
         support = (0.0, edge) if E > 0.0 else (edge, math.inf)
         if not support[0] < support[1]:
             raise DomainError(f"the free boundary eta = {edge} leaves the float range: the support is empty")
@@ -138,7 +141,10 @@ def _power_law(A: float, q: float, L: float, c: float, E: float, e: float):
             raise OutsideSupportError(f"eta = {eta} lies outside the open support ({lo}, {hi})")
         if (c != 0.0 and E < 0.0) or any(a < 0.0 for _, a, _ in terms):
             raise SingularEvaluationError("a negative power of eta is singular at eta = 0")
-        return sum((k * L ** b for k, a, b in terms if a == 0.0), 0.0)
+        try:
+            return sum((k * L ** b for k, a, b in terms if a == 0.0), 0.0)
+        except OverflowError:
+            raise DomainError(f"a power L^b of L = {L} overflows at eta = 0") from None
 
     def evaluator(*terms):
         terms = [t for t in terms if t[0] != 0.0]
@@ -146,12 +152,18 @@ def _power_law(A: float, q: float, L: float, c: float, E: float, e: float):
         def h(eta):
             if not lo < eta < hi:
                 return refuse(eta, terms)
-            w = L - c * eta ** E
+            try:
+                w = L - c * eta ** E
+            except OverflowError:
+                raise DomainError(f"eta^E = {eta}^{E} overflows") from None
             if not w > 0.0:
                 raise OutsideSupportError(f"eta = {eta} is outside the positivity set")
             total = 0.0
-            for k, a, b in terms:
-                total += k * eta ** a * w ** b
+            try:
+                for k, a, b in terms:
+                    total += k * eta ** a * w ** b
+            except OverflowError:
+                raise DomainError(f"eta^{a} w^{b} overflows at eta = {eta}, w = {w}") from None
             return total
 
         return h
@@ -178,7 +190,7 @@ def barenblatt_pme(m: float, n: float, C: float = 1.0) -> ClosedFormProfile:
     """
     _check_positive("C", C)
     denom = n * (m - 1.0) + 2.0
-    if abs(denom) < _EXCLUSION_TOL:
+    if abs(denom) <= _EXCLUSION_TOL:
         raise DegenerateError("n(m-1) + 2 = 0: the source-type exponent degenerates")
     beta1 = 1.0 / denom
     k = (m - 1.0) * beta1 / 2.0
@@ -198,13 +210,16 @@ def barenblatt_ple(p: float, n: float, C: float = 1.0) -> ClosedFormProfile:
     if p == 0.0 or p == 1.0:
         raise DegenerateError(f"p = {p} has no source-type profile of this form")
     denom = n * (p - 2.0) + p
-    if abs(denom) < _EXCLUSION_TOL:
+    if abs(denom) <= _EXCLUSION_TOL:
         raise DegenerateError("n(p-2) + p = 0: the source-type exponent degenerates")
     beta1 = 1.0 / denom
     params = PLEParams(p, n, beta1, SimilarityType.TYPE_I)  # refuses p = 2 and a non-finite n before A
     if beta1 == 0.0:
         raise DomainError(f"n(p-2) + p = {denom} leaves the float range: beta1 rounds to 0")
-    A = (p - 2.0) / p * math.copysign(abs(beta1) ** (1.0 / (p - 1.0)), beta1)
+    try:
+        A = (p - 2.0) / p * math.copysign(abs(beta1) ** (1.0 / (p - 1.0)), beta1)
+    except OverflowError:
+        raise DomainError(f"|beta1|^(1/(p-1)) = {abs(beta1)}^{1.0 / (p - 1.0)} overflows") from None
     support, derivs = _power_law(1.0, 0.0, C, A, p / (p - 1.0), (p - 1.0) / (p - 2.0))
     return ClosedFormProfile({"C": C, "A": A, "beta1": beta1}, params, *derivs, support)
 
@@ -218,11 +233,10 @@ def dipole_pme(m: float, n: float, K: float = 1.0) -> ClosedFormProfile:
     _check_positive("K", K)
     if m == 0.0:
         raise DegenerateError("m = 0 has no dipole profile of this form")
-    crit = critical_exponents(n)
-    if _is_critical(m, crit.m_c, _EXCLUSION_TOL):
+    if _is_critical(m, critical_exponents(n).m_c, _EXCLUSION_TOL):
         raise CriticalError("the dipole formula divides by b = 0 at m = m_c")
     params = PMEParams(m, n, 1.0 / (2.0 * m), SimilarityType.TYPE_I)  # refuses m = 1 before b divides by it
-    b = 2.0 * n * (m - crit.m_c) / (m - 1.0)
+    b = _b(params)
     q = -(n - 2.0) / m
     e = (m * n - n + 2.0) / m
     support, derivs = _power_law(1.0, q, K, 1.0 / b, e, 1.0 / (m - 1.0))
@@ -241,11 +255,10 @@ def dipole_derivative_ple(p: float, n: float, c: float = 1.0) -> ClosedFormProfi
     _check_positive("c", c)
     if p == 0.0 or p == 1.0:
         raise DegenerateError(f"p = {p} has no derivative-primary profile of this form")
-    crit = critical_exponents(n)
-    if _is_critical(p, crit.p_c, _EXCLUSION_TOL):
+    if _is_critical(p, critical_exponents(n).p_c, _EXCLUSION_TOL):
         raise CriticalError("the derivative formula divides by b = 0 at p = p_c")
     params = PLEParams(p, n, 1.0 / p, SimilarityType.TYPE_I)  # refuses p = 2 before b divides by it
-    b = p * (n + 1.0) * (p - crit.p_c) / ((p - 2.0) * (p - 1.0))
+    b = _b(params)
     E = (p - 2.0) * b / p
     q = -(n - 1.0) / (p - 1.0)
     k, e = 1.0 / ((p - 1.0) * b), 1.0 / (p - 2.0)
@@ -256,7 +269,10 @@ def dipole_derivative_ple(p: float, n: float, c: float = 1.0) -> ClosedFormProfi
         raise DomainError("unbounded derivative support: no right endpoint to anchor f")
     # t = (c s / k)^(1/E): t^q (c - k t^E)^e dt = c^e (c/k)^a / E * s^(a-1) (1-s)^e ds
     a = (q + 1.0) / E
-    scale = -(c ** e) * (c / k) ** a / E
+    try:
+        scale = -(c ** e) * (c / k) ** a / E
+    except OverflowError:
+        raise DomainError(f"the scale c^e (c/k)^a of f overflows: c = {c}, c/k = {c / k}, e = {e}, a = {a}") from None
     if not e > -1.0:  # p - 2 rounds to -1 just below p = 1, where the integral for f diverges
         raise DegenerateError(f"p = {p}: the exponent 1/(p-2) = {e} leaves no integrable f")
     tail = _beta_tail(a, e)
@@ -407,13 +423,16 @@ def pme_residual(profile, params: PMEParams, eta: float) -> float:
     fpp = profile.fsecond(eta)
     m, n = params.m, params.n
     alpha = alpha_from(params)
-    return (
-        f ** (m - 1.0) * fpp
-        + (m - 1.0) * f ** (m - 2.0) * fp * fp
-        + (n - 1.0) / eta * f ** (m - 1.0) * fp
-        + alpha * f
-        + params.beta * eta * fp
-    )
+    try:
+        return (
+            f ** (m - 1.0) * fpp
+            + (m - 1.0) * f ** (m - 2.0) * fp * fp
+            + (n - 1.0) / eta * f ** (m - 1.0) * fp
+            + alpha * f
+            + params.beta * eta * fp
+        )
+    except OverflowError:
+        raise DomainError(f"f^(m-1) or f^(m-2) overflows at eta = {eta}: f = {f}, m = {m}") from None
 
 
 def ple_residual(profile, params: PLEParams, eta: float) -> float:
@@ -427,12 +446,15 @@ def ple_residual(profile, params: PLEParams, eta: float) -> float:
     fpp = profile.fsecond(eta)
     p, n = params.p, params.n
     alpha = alpha_from(params)
-    return (
-        (p - 1.0) * abs(fp) ** (p - 2.0) * fpp
-        + (n - 1.0) / eta * abs(fp) ** (p - 2.0) * fp
-        + alpha * f
-        + params.beta * eta * fp
-    )
+    try:
+        return (
+            (p - 1.0) * abs(fp) ** (p - 2.0) * fpp
+            + (n - 1.0) / eta * abs(fp) ** (p - 2.0) * fp
+            + alpha * f
+            + params.beta * eta * fp
+        )
+    except OverflowError:
+        raise DomainError(f"|f'|^(p-2) overflows at eta = {eta}: f' = {fp}, p = {p}") from None
 
 
 def max_residual(profile: ClosedFormProfile, count: int = 50) -> float:

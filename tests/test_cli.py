@@ -418,7 +418,8 @@ class TestExplicitFalseSuccess:
         assert "Traceback" not in res.stderr
         data = json.loads(res.stdout)
         assert data["status"] == "error"
-        assert data["error"]["type"] == "OverflowError"
+        assert data["error"]["type"] == "DomainError"  # the power that overflows, named; was a bare OverflowError
+        assert "overflows at eta = " in data["error"]["message"]
 
 
 class TestImportBudget:
@@ -846,11 +847,28 @@ class TestArgumentFuzzFindings:
               "--max-steps", "50", "--anchor-eta", "0.25"), "DomainError"),
             # both branch images are refused: Branch 1's beta' and Branch 2's alpha' overflow
             (("map", "--eq", "ple", "--p", "1.2", "--n", "2", "--beta", "1e308"), "DomainError"),
+            # a float ** overflows: the identity squares of map, then the closed forms' powers
+            (("map", "--eq", "ple", "--p", "-0.5", "--n", "1", "--beta", "1e308"), "DomainError"),
+            (("map", "--eq", "ple", "--p", "0.3333333333333333", "--n", "0.25", "--beta", "-1e300"),
+             "DomainError"),
+            (("explicit", "--kind", "barenblatt-ple", "--p", "1e-300", "--n", "0.3"), "DomainError"),
+            (("explicit", "--kind", "barenblatt-ple", "--p", "1.0000000000000002", "--n", "5e-324"),
+             "DomainError"),
+            (("explicit", "--kind", "dipole-pme", "--m", "2.0000000000000004", "--n", "1e300", "--K", "0.2"),
+             "DomainError"),
+            (("explicit", "--kind", "barenblatt-ple", "--p", "0.3", "--n", "1e308"), "DomainError"),
+            (("explicit", "--kind", "barenblatt-pme", "--m", "-1", "--n", "4", "--C", "1e308"), "DomainError"),
+            (("explicit", "--kind", "barenblatt-ple", "--p", "0.2", "--n", "4", "--C", "1e308"), "DomainError"),
+            (("explicit", "--kind", "dipole-derivative-ple", "--p", "2.5", "--n", "3", "--c", "1e300"),
+             "DomainError"),
         ],
         ids=["map-F-zero-p3", "map-F-zero-p-third", "barenblatt-ple-p-zero", "barenblatt-ple-p-one",
              "barenblatt-ple-beta1-underflow", "dipole-derivative-empty-support", "profile-anchor-eta-huge",
              "profile-anchor-eta-tiny", "explicit-residual-outside-support", "explicit-residual-singular",
-             "profile-ple-scale-underflow", "profile-ple-x-power-underflow", "map-alpha-overflow"],
+             "profile-ple-scale-underflow", "profile-ple-x-power-underflow", "map-alpha-overflow",
+             "map-square-overflow", "map-square-overflow-one-branch-unphysical", "explicit-free-boundary-overflow",
+             "explicit-eta-power-overflow", "explicit-term-power-overflow", "explicit-beta1-power-overflow",
+             "explicit-pme-residual-overflow", "explicit-ple-residual-overflow", "explicit-derivative-scale-overflow"],
     )
     def test_json_error(self, argv, kind):
         res = run_cli(*argv)

@@ -69,7 +69,7 @@ def _argv(rng):
 
 
 def _findings(argv):
-    """What is wrong with running ``argv``: an escaped exception, an exit code, output or warning."""
+    """What is wrong with running ``argv``: an escaped exception, an exit code, output, warning or a bare overflow."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
@@ -90,6 +90,8 @@ def _findings(argv):
         payload = json.loads(text)
     except ValueError:
         return found + [f"output is not JSON: {text[:200]!r}"]
+    if payload.get("error", {}).get("type") == "OverflowError":  # a DomainError names the quantity that overflows
+        found.append(f"OverflowError names no quantity: {payload['error']['message']}")
     for check in payload.get("checks", []):
         if check["pass"] and not math.isfinite(check["max_dev"]):
             found.append(f"check {check['name']} passes with max_dev {check['max_dev']}")

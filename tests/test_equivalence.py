@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -305,6 +306,21 @@ class TestVerifyEquivalence:
         ple = pme_to_ple(pme, B1)
         ca, cb = unified_coefficients(pme), unified_coefficients(ple)
         assert cb.b / ca.b == pytest.approx((ple.n / (pme.n - 2.0)) ** 2, rel=1e-13)
+
+    # a float ** raises OverflowError past about 1.3e154, where * gives inf: each square names itself
+    @pytest.mark.parametrize(
+        "pme,ple,square",
+        [
+            (ple_to_pme(PLEParams(-0.5, 1.0, 1e308), B1), PLEParams(-0.5, 1.0, 1e308), "beta (n - 2)"),
+            (ple_to_pme(PLEParams(-0.5, 1.0, 1e308), B2), PLEParams(-0.5, 1.0, 1e308), "beta (n - 2)"),
+            (PMEParams(2.0, 3.0, 0.0), PLEParams(3.0, 3.0, 1e200), "beta' n'"),
+            (PMEParams(2.0, 2.0 + 1e-11, 0.0), PLEParams(3.0, 1e150, 0.0), "n'/(n - 2)"),
+        ],
+        ids=["beta-n-branch1", "beta-n-branch2", "beta-prime-n-prime", "dimension-ratio"],
+    )
+    def test_overflowing_square_refused(self, pme, ple, square):
+        with pytest.raises(DomainError, match=f"^the square of {re.escape(square)} = .* overflows$"):
+            verify_equivalence(pme, ple)
 
 
 class TestEquivalenceReportDeviations:

@@ -1,4 +1,5 @@
 import math
+from enum import Enum
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,10 +10,13 @@ from ssflow import (
     PLEParams,
     PMEParams,
     SimilarityType,
+    SsflowError,
     alpha_from,
     critical_exponents,
     unified_coefficients,
 )
+from ssflow.equivalence import Branch, ple_to_pme, pme_to_ple
+from ssflow.solutions import dipole_derivative_ple, dipole_pme
 
 T1, T2, T3 = SimilarityType.TYPE_I, SimilarityType.TYPE_II, SimilarityType.TYPE_III
 
@@ -175,6 +179,12 @@ class TestUnifiedCoefficients:
         with pytest.raises(DomainError):
             unified_coefficients(PMEParams(2.0, 1.0, 0.25), critical_tol=tol)
 
+    # the band of an excluded value is |x - v| <= 1e-12, its edge included, for p = 0 as for every other value
+    @pytest.mark.parametrize("p", [1e-12, -1e-12])
+    def test_p_zero_band_includes_its_edge(self, p):
+        with pytest.raises(DegenerateError, match="^p = 0 is the second root of b"):
+            unified_coefficients(PLEParams(p, 3.0, 0.3))
+
     def test_critical_dimension_two_degenerates(self):
         with pytest.raises(DegenerateError):
             unified_coefficients(PMEParams(0.0 + 1e-15, 2.0, 0.1))
@@ -214,3 +224,190 @@ class TestUnifiedCoefficients:
         c = unified_coefficients(PMEParams(2.0, 1.0, 0.25, T3))
         assert c.psi_coeff == 0
 
+
+# The parameter algebra pinned bit for bit: alpha, the unified coefficients, the dipole b and the outcome at
+# each excluded value and 5e-13 and 2e-12 to either side of it.  Every value is compared by repr, so -0.0 and
+# the last bit count; refusals by error type.
+_MAKE = {"pme": PMEParams, "ple": PLEParams}
+# (equation, x): (c1, c3, sqrt_abs_b, const_term) of the unified coefficients at n = 3, for any beta and type
+_COEFFS = {
+    ("pme", 2.0): (2.0, 2.846049894151541, 3.1622776601683795, 1),
+    ("pme", 0.25): (-0.3333333333333333, -0.40824829046386296, 0.8164965809277259, 1),
+    ("pme", -0.3333333333333333): (0.25, 1.1547005383792515, 1.7320508075688772, 1),
+    ("ple", 3.0): (2.0, 3.0, 3.0, 1),
+    ("ple", 1.25): (-0.3333333333333333, -0.12909944487358066, 2.581988897471611, 1),
+    ("ple", 0.5): (0.3333333333333333, 1.4288690166235207, 1.632993161855452, -1),
+}
+# (equation, x, type, beta, alpha, c2) at n = 3; a list, since 0.0 and -0.0 are the same dict key
+_ALPHA_C2 = [
+    ("pme", 2.0, 1, 0.0, 1.0, 0.0),
+    ("pme", 2.0, 1, -0.0, 1.0, -0.0),
+    ("pme", 2.0, 1, 0.3, 0.4, 0.9486832980505138),
+    ("pme", 2.0, 1, -1.7, 4.4, -5.375872022286245),
+    ("pme", 2.0, 2, 0.0, -1.0, 0.0),
+    ("pme", 2.0, 2, -0.0, -1.0, -0.0),
+    ("pme", 2.0, 2, 0.3, -1.6, 0.9486832980505138),
+    ("pme", 2.0, 2, -1.7, 2.4, -5.375872022286245),
+    ("pme", 2.0, 3, 0.0, -0.0, 0.0),
+    ("pme", 2.0, 3, -0.0, 0.0, -0.0),
+    ("pme", 2.0, 3, 0.3, -0.6, 0.9486832980505138),
+    ("pme", 2.0, 3, -1.7, 3.4, -5.375872022286245),
+    ("pme", 0.25, 1, 0.0, -1.3333333333333333, 0.0),
+    ("pme", 0.25, 1, -0.0, -1.3333333333333333, -0.0),
+    ("pme", 0.25, 1, 0.3, -0.5333333333333333, 0.24494897427831777),
+    ("pme", 0.25, 1, -1.7, -5.866666666666667, -1.388044187577134),
+    ("pme", 0.25, 2, 0.0, 1.3333333333333333, 0.0),
+    ("pme", 0.25, 2, -0.0, 1.3333333333333333, -0.0),
+    ("pme", 0.25, 2, 0.3, 2.1333333333333333, 0.24494897427831777),
+    ("pme", 0.25, 2, -1.7, -3.1999999999999997, -1.388044187577134),
+    ("pme", 0.25, 3, 0.0, 0.0, 0.0),
+    ("pme", 0.25, 3, -0.0, -0.0, -0.0),
+    ("pme", 0.25, 3, 0.3, 0.7999999999999999, 0.24494897427831777),
+    ("pme", 0.25, 3, -1.7, -4.533333333333333, -1.388044187577134),
+    ("pme", -0.3333333333333333, 1, 0.0, -0.75, 0.0),
+    ("pme", -0.3333333333333333, 1, -0.0, -0.75, -0.0),
+    ("pme", -0.3333333333333333, 1, 0.3, -0.30000000000000004, 0.5196152422706631),
+    ("pme", -0.3333333333333333, 1, -1.7, -3.3000000000000003, -2.9444863728670914),
+    ("pme", -0.3333333333333333, 2, 0.0, 0.75, 0.0),
+    ("pme", -0.3333333333333333, 2, -0.0, 0.75, -0.0),
+    ("pme", -0.3333333333333333, 2, 0.3, 1.2000000000000002, 0.5196152422706631),
+    ("pme", -0.3333333333333333, 2, -1.7, -1.8, -2.9444863728670914),
+    ("pme", -0.3333333333333333, 3, 0.0, 0.0, 0.0),
+    ("pme", -0.3333333333333333, 3, -0.0, -0.0, -0.0),
+    ("pme", -0.3333333333333333, 3, 0.3, 0.45, 0.5196152422706631),
+    ("pme", -0.3333333333333333, 3, -1.7, -2.5500000000000003, -2.9444863728670914),
+    ("ple", 3.0, 1, 0.0, 1.0, 0.0),
+    ("ple", 3.0, 1, -0.0, 1.0, -0.0),
+    ("ple", 3.0, 1, 0.3, 0.10000000000000009, 0.8999999999999999),
+    ("ple", 3.0, 1, -1.7, 6.1, -5.1),
+    ("ple", 3.0, 2, 0.0, -1.0, 0.0),
+    ("ple", 3.0, 2, -0.0, -1.0, -0.0),
+    ("ple", 3.0, 2, 0.3, -1.9, 0.8999999999999999),
+    ("ple", 3.0, 2, -1.7, 4.1, -5.1),
+    ("ple", 3.0, 3, 0.0, -0.0, 0.0),
+    ("ple", 3.0, 3, -0.0, 0.0, -0.0),
+    ("ple", 3.0, 3, 0.3, -0.8999999999999999, 0.8999999999999999),
+    ("ple", 3.0, 3, -1.7, 5.1, -5.1),
+    ("ple", 1.25, 1, 0.0, -1.3333333333333333, 0.0),
+    ("ple", 1.25, 1, -0.0, -1.3333333333333333, -0.0),
+    ("ple", 1.25, 1, 0.3, -0.8333333333333334, 0.7745966692414833),
+    ("ple", 1.25, 1, -1.7, -4.166666666666667, -4.389381125701739),
+    ("ple", 1.25, 2, 0.0, 1.3333333333333333, 0.0),
+    ("ple", 1.25, 2, -0.0, 1.3333333333333333, -0.0),
+    ("ple", 1.25, 2, 0.3, 1.8333333333333333, 0.7745966692414833),
+    ("ple", 1.25, 2, -1.7, -1.5, -4.389381125701739),
+    ("ple", 1.25, 3, 0.0, 0.0, 0.0),
+    ("ple", 1.25, 3, -0.0, -0.0, -0.0),
+    ("ple", 1.25, 3, 0.3, 0.5, 0.7745966692414833),
+    ("ple", 1.25, 3, -1.7, -2.8333333333333335, -4.389381125701739),
+    ("ple", 0.5, 1, 0.0, -0.6666666666666666, 0.0),
+    ("ple", 0.5, 1, -0.0, -0.6666666666666666, -0.0),
+    ("ple", 0.5, 1, 0.3, -0.5666666666666667, 0.4898979485566356),
+    ("ple", 0.5, 1, -1.7, -1.2333333333333334, -2.7760883751542687),
+    ("ple", 0.5, 2, 0.0, 0.6666666666666666, 0.0),
+    ("ple", 0.5, 2, -0.0, 0.6666666666666666, -0.0),
+    ("ple", 0.5, 2, 0.3, 0.7666666666666666, 0.4898979485566356),
+    ("ple", 0.5, 2, -1.7, 0.10000000000000002, -2.7760883751542687),
+    ("ple", 0.5, 3, 0.0, 0.0, 0.0),
+    ("ple", 0.5, 3, -0.0, -0.0, -0.0),
+    ("ple", 0.5, 3, 0.3, 0.09999999999999999, 0.4898979485566356),
+    ("ple", 0.5, 3, -1.7, -0.5666666666666667, -2.7760883751542687),
+]
+# (equation, x, n, b) of dipole_pme(m, n) and dipole_derivative_ple(p, n)
+_DIPOLE_B = [
+    ("pme", 2.0, 1.0, 6.0),
+    ("pme", 0.25, 3.0, 0.6666666666666665),
+    ("ple", 3.0, 1.0, 6.0),
+    ("ple", 2.5, 3.0, 13.333333333333334),
+]
+# (case, offset, outcome): the values of the case at its excluded value plus the offset, or the error type
+_EXCLUDED = [
+    ("PMEParams m=1", 0.0, "DegenerateError"),
+    ("PMEParams m=1", 5e-13, "DegenerateError"),
+    ("PMEParams m=1", -5e-13, "DegenerateError"),
+    ("PMEParams m=1", 2e-12, (1.000000000002, 3.0, 0.3)),
+    ("PMEParams m=1", -2e-12, (0.999999999998, 3.0, 0.3)),
+    ("PLEParams p=2", 0.0, "DegenerateError"),
+    ("PLEParams p=2", 5e-13, "DegenerateError"),
+    ("PLEParams p=2", -5e-13, "DegenerateError"),
+    ("PLEParams p=2", 2e-12, (2.000000000002, 3.0, 0.3)),
+    ("PLEParams p=2", -2e-12, (1.999999999998, 3.0, 0.3)),
+    ("unified_coefficients p=1", 0.0, "DegenerateError"),
+    ("unified_coefficients p=1", 5e-13, "DegenerateError"),
+    ("unified_coefficients p=1", -5e-13, "DegenerateError"),
+    ("unified_coefficients p=1", 2e-12,
+     (-1.9999557565637568e-12, 300003.3183130734, 9.999889390707672e-07, 1000011.0610435781, 1, 1, False)),
+    ("unified_coefficients p=1", -2e-12,
+     (1.9999557565557572e-12, 300003.3183130734, 9.999889390867666e-07, 1000011.0610435781, -1, 1, False)),
+    ("unified_coefficients p=0", 0.0, "DegenerateError"),
+    ("unified_coefficients p=0", 5e-13, "DegenerateError"),
+    ("unified_coefficients p=0", -5e-13, "DegenerateError"),
+    ("unified_coefficients p=0", 2e-12,
+     (0.4999999999995, 7.348469228355658e-07, 1224744.871389752, 2.4494897427852193e-06, -1, 1, False)),
+    ("unified_coefficients p=0", -2e-12,
+     (0.5000000000004999, 7.34846922834341e-07, 1224744.871393426, 2.4494897427811366e-06, 1, 1, False)),
+    ("pme_to_ple n=2 branch1", 0.0, "DimensionTwoError"),
+    ("pme_to_ple n=2 branch1", 5e-13, "DimensionTwoError"),
+    ("pme_to_ple n=2 branch1", -5e-13, "DimensionTwoError"),
+    ("pme_to_ple n=2 branch1", 2e-12, (3.0, 1.5001333508735115e-12, 0.39999999999999997)),
+    ("pme_to_ple n=2 branch1", -2e-12, "UnphysicalDimensionError"),
+    ("pme_to_ple m=-1 branch1", 0.0, "DegenerateError"),
+    ("pme_to_ple m=-1 branch1", 5e-13, "DegenerateError"),
+    ("pme_to_ple m=-1 branch1", -5e-13, "DegenerateError"),
+    ("pme_to_ple m=-1 branch1", 2e-12, "UnphysicalDimensionError"),
+    ("pme_to_ple m=-1 branch1", -2e-12, (-1.999955756559757e-12, 9.999778782778786e-13, 300006636663.4508)),
+    ("ple_to_pme p=1 branch1", 0.0, "DegenerateError"),
+    ("ple_to_pme p=1 branch1", 5e-13, "DegenerateError"),
+    ("ple_to_pme p=1 branch1", -5e-13, "DegenerateError"),
+    ("ple_to_pme p=1 branch1", 2e-12, (1.999955756559757e-12, 2.0000000000119997, 75001659165.8627)),
+    ("ple_to_pme p=1 branch1", -2e-12, (-1.999955756559757e-12, 1.9999999999880003, -75001659165.56271)),
+    ("pme_to_ple n=2 branch2", 0.0, "DimensionTwoError"),
+    ("pme_to_ple n=2 branch2", 5e-13, "DimensionTwoError"),
+    ("pme_to_ple n=2 branch2", -5e-13, "DimensionTwoError"),
+    ("pme_to_ple n=2 branch2", 2e-12, "UnphysicalDimensionError"),
+    ("pme_to_ple n=2 branch2", -2e-12, (3.0, 1.4999668174205678e-12, 0.3999999999998)),
+    ("pme_to_ple m=-1 branch2", 0.0, "DegenerateError"),
+    ("pme_to_ple m=-1 branch2", 5e-13, "DegenerateError"),
+    ("pme_to_ple m=-1 branch2", -5e-13, "DegenerateError"),
+    ("pme_to_ple m=-1 branch2", 2e-12, (1.999955756559757e-12, 4.999889391406892e-13, -600013273324.8018)),
+    ("pme_to_ple m=-1 branch2", -2e-12, "UnphysicalDimensionError"),
+    ("ple_to_pme p=1 branch2", 0.0, "DegenerateError"),
+    ("ple_to_pme p=1 branch2", 5e-13, "DegenerateError"),
+    ("ple_to_pme p=1 branch2", -5e-13, "DegenerateError"),
+    ("ple_to_pme p=1 branch2", 2e-12, (1.999955756559757e-12, 2.0000000000059996, -150019974263.14133)),
+    ("ple_to_pme p=1 branch2", -2e-12, (-1.999955756559757e-12, 1.9999999999940004, 150019974262.5413)),
+]
+_CASES = {
+    "PMEParams m=1": (1.0, lambda x: PMEParams(x, 3.0, 0.3)),
+    "PLEParams p=2": (2.0, lambda x: PLEParams(x, 3.0, 0.3)),
+    "unified_coefficients p=1": (1.0, lambda x: unified_coefficients(PLEParams(x, 3.0, 0.3))),
+    "unified_coefficients p=0": (0.0, lambda x: unified_coefficients(PLEParams(x, 3.0, 0.3))),
+}
+for _br in Branch:
+    _CASES[f"pme_to_ple n=2 branch{_br.value}"] = (2.0, lambda x, br=_br: pme_to_ple(PMEParams(2.0, x, 0.3), br))
+    _CASES[f"pme_to_ple m=-1 branch{_br.value}"] = (-1.0, lambda x, br=_br: pme_to_ple(PMEParams(x, 3.0, 0.3), br))
+    _CASES[f"ple_to_pme p=1 branch{_br.value}"] = (1.0, lambda x, br=_br: ple_to_pme(PLEParams(x, 3.0, 0.3), br))
+
+
+class TestParameterAlgebraTable:
+    @pytest.mark.parametrize("eq,x,t,beta,alpha,c2", _ALPHA_C2)
+    def test_alpha_and_coefficients(self, eq, x, t, beta, alpha, c2):
+        params = _MAKE[eq](x, 3.0, beta, SimilarityType(t))
+        c = unified_coefficients(params)
+        assert repr((alpha_from(params), c.c2)) == repr((alpha, c2))
+        assert repr((c.c1, c.c3, c.sqrt_abs_b, c.const_term)) == repr(_COEFFS[eq, x])
+        assert c.psi_coeff == params.sim_type.psi_coeff and not c.critical
+
+    @pytest.mark.parametrize("eq,x,n,b", _DIPOLE_B)
+    def test_dipole_b(self, eq, x, n, b):
+        profile = (dipole_pme if eq == "pme" else dipole_derivative_ple)(x, n)
+        assert repr(profile.constants["b"]) == repr(b)
+
+    @pytest.mark.parametrize("case,offset,outcome", _EXCLUDED)
+    def test_excluded_values(self, case, offset, outcome):
+        value, build = _CASES[case]
+        try:
+            got = tuple(v for v in vars(build(value + offset)).values() if not isinstance(v, Enum))
+        except SsflowError as exc:
+            got = type(exc).__name__
+        assert repr(got) == repr(outcome)

@@ -120,6 +120,12 @@ class TestBarenblattPLEDegenerate:
         with pytest.raises(DomainError):
             barenblatt_ple(p, n)
 
+    def test_denominator_band_includes_its_edge(self):
+        # n(p-2) + p is exactly 1e-12 here: on the edge of the exclusion band, so refused
+        assert 5e-13 * (1.999999999999e-12 - 2.0) + 1.999999999999e-12 == 1e-12
+        with pytest.raises(DegenerateError, match="source-type exponent degenerates"):
+            barenblatt_ple(1.999999999999e-12, 5e-13)
+
 
 class TestDipolePME:
     def test_reference_shape(self):
@@ -691,3 +697,29 @@ class TestBarenblattPLENegativeBeta1:
         # residual's terms exceed 1e11; everywhere before it they are O(1)
         for eta in prof.interior_points(50)[:-1]:
             assert abs(ple_residual(prof, prof.params, float(eta))) < 1e-12
+
+
+class TestPowerOverflow:
+    """A float ** raises OverflowError where * gives inf: each power is a DomainError that names it."""
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: barenblatt_ple(1e-300, 0.3), "the free boundary (L/c)^(1/E) = "),
+            (lambda: barenblatt_ple(1.0000000000000002, 5e-324).f(2.0), "eta^E = 2.0^"),
+            (lambda: dipole_pme(2.0000000000000004, 1e300, 0.2).f(0.5), "overflows at eta = 0.5"),
+            (lambda: barenblatt_pme(1.5, 1.0, 1e308).f(0.0), "overflows at eta = 0"),
+            (lambda: barenblatt_ple(0.3, 1e308), "|beta1|^(1/(p-1)) = "),
+            (lambda: barenblatt_ple(1.0 + 1e-13, 1.5), "|beta1|^(1/(p-1)) = "),
+            (lambda: max_residual(barenblatt_pme(-1.0, 4.0, 1e308)), "f^(m-1) or f^(m-2) overflows at eta = "),
+            (lambda: max_residual(barenblatt_ple(0.2, 4.0, 1e308)), "|f'|^(p-2) overflows at eta = "),
+            (lambda: dipole_derivative_ple(2.5, 3.0, 1e300), "the scale c^e (c/k)^a of f overflows"),
+        ],
+        ids=["free-boundary", "eta-power", "term-power", "value-at-zero", "beta1-power-huge-n",
+             "beta1-power-p-near-one", "pme-residual", "ple-residual", "derivative-primary-scale"],
+    )
+    def test_overflow_is_a_domain_error(self, build, message):
+        with pytest.raises(DomainError) as err:
+            build()
+        assert message in str(err.value)
+
