@@ -18,6 +18,7 @@ identity tolerance used by ``verify`` and ``map``; it must satisfy 0 <= tol < in
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -368,5 +369,19 @@ def main(argv=None) -> int:
         return _emit_error("io", str(exc))
 
 
+def run() -> None:
+    """Process entry point: ``main()``, then exit with its code, skipping the shutdown collections.
+
+    The garbage collector's last passes at interpreter exit would walk every object the
+    process holds; freezing the heap first puts them out of reach.  atexit handlers, the
+    flush of stdout and stderr and the exit code are unchanged.  In-process callers use
+    ``main()``, which leaves the collector alone.
+    """
+    code = main()
+    gc.disable()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -148,8 +148,12 @@ def _power_law(A: float, q: float, L: float, c: float, E: float, e: float):
 
     def evaluator(*terms):
         terms = [t for t in terms if t[0] != 0.0]
+        overflowed = [t for t in terms if not math.isfinite(t[0])]
 
         def h(eta):
+            if overflowed:  # an infinite k gives inf * 0 = nan where its power underflows
+                k, a, b = overflowed[0]
+                raise DomainError(f"the coefficient {k} of the term eta^{a} w^{b} is not finite")
             if not lo < eta < hi:
                 return refuse(eta, terms)
             try:
@@ -497,14 +501,21 @@ def selfsimilar_value(params, profile, x_radius: float, t: float, T: Optional[fl
         raise DomainError(f"x_radius is a radius; it must be non-negative and finite, got {x_radius}")
     st = params.sim_type
     _check_time(st, t, T)
-    alpha = alpha_from(params)
-    beta = params.beta
-    if st is SimilarityType.TYPE_I:
-        return t ** (-alpha) * profile.f(x_radius * t ** (-beta))
-    if st is SimilarityType.TYPE_II:
-        s = T - t
-        return s ** alpha * profile.f(x_radius * s ** beta)
-    return math.exp(alpha * t) * profile.f(x_radius * math.exp(beta * t))
+    scale = _time_factor(st, t, T, alpha_from(params), "alpha")
+    return scale * profile.f(x_radius * _time_factor(st, t, T, params.beta, "beta"))
+
+
+def _time_factor(st: SimilarityType, t: float, T: Optional[float], a: float, name: str) -> float:
+    """t^(-a), (T - t)^a or e^(a t) for Types I, II and III; DomainError where it overflows."""
+    try:
+        if st is SimilarityType.TYPE_I:
+            return t ** (-a)
+        if st is SimilarityType.TYPE_II:
+            return (T - t) ** a
+        return math.exp(a * t)
+    except OverflowError:
+        power = {SimilarityType.TYPE_I: "t^(-a)", SimilarityType.TYPE_II: "(T - t)^a"}.get(st, "e^(a t)")
+        raise DomainError(f"the time factor {power} of {name} overflows: a = {a}, t = {t}, T = {T}") from None
 
 
 # Double-exponential rule: nodes t = j h on |t| <= _DE_SPAN, at most _DE_LEVELS
@@ -586,12 +597,7 @@ def mass_integral(profile: ClosedFormProfile, params, t: float = 1.0, T: Optiona
     _check_time(params.sim_type, t, T)
     n = params.n
     omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-    if params.sim_type is SimilarityType.TYPE_I:
-        stretch = t ** params.beta
-    elif params.sim_type is SimilarityType.TYPE_II:
-        stretch = (T - t) ** (-params.beta)
-    else:
-        stretch = math.exp(-params.beta * t)
+    stretch = _time_factor(params.sim_type, t, T, -params.beta, "-beta")
     lo = profile.support[0] * stretch
     hi = profile.support[1] * stretch
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -861,6 +862,8 @@ class TestArgumentFuzzFindings:
             (("explicit", "--kind", "barenblatt-ple", "--p", "0.2", "--n", "4", "--C", "1e308"), "DomainError"),
             (("explicit", "--kind", "dipole-derivative-ple", "--p", "2.5", "--n", "3", "--c", "1e300"),
              "DomainError"),
+            # a term coefficient of f' is -inf: the rows were f = 0, f' = nan and the exit code 2
+            (("explicit", "--kind", "yamabe-ple", "--n", "3", "--k2", "1e300"), "DomainError"),
         ],
         ids=["map-F-zero-p3", "map-F-zero-p-third", "barenblatt-ple-p-zero", "barenblatt-ple-p-one",
              "barenblatt-ple-beta1-underflow", "dipole-derivative-empty-support", "profile-anchor-eta-huge",
@@ -868,7 +871,8 @@ class TestArgumentFuzzFindings:
              "profile-ple-scale-underflow", "profile-ple-x-power-underflow", "map-alpha-overflow",
              "map-square-overflow", "map-square-overflow-one-branch-unphysical", "explicit-free-boundary-overflow",
              "explicit-eta-power-overflow", "explicit-term-power-overflow", "explicit-beta1-power-overflow",
-             "explicit-pme-residual-overflow", "explicit-ple-residual-overflow", "explicit-derivative-scale-overflow"],
+             "explicit-pme-residual-overflow", "explicit-ple-residual-overflow", "explicit-derivative-scale-overflow",
+             "explicit-term-coefficient-overflow"],
     )
     def test_json_error(self, argv, kind):
         res = run_cli(*argv)
@@ -877,3 +881,87 @@ class TestArgumentFuzzFindings:
         data = json.loads(res.stdout)
         assert data["status"] == "error"
         assert data["error"]["type"] == kind
+
+
+class TestEntryPoint:
+    """``run()`` ends every process entry point; ``main()`` never touches the garbage collector."""
+
+    COMMANDS = [
+        ["map", "--eq", "pme", "--m", "0.25", "--n", "3", "--beta", "1"],
+        ["coeffs", "--eq", "pme", "--m", "2", "--n", "1", "--beta", "0.25"],
+        ["integrate", "--preset", "barenblatt-line"],
+        ["profile", "--preset", "yamabe-vertex"],
+        ["explicit", "--kind", "barenblatt-pme", "--m", "2", "--n", "1"],
+        ["verify"],
+    ]
+    # what pip's console-script wrapper for `ssflow = "ssflow.cli:run"` does
+    CONSOLE_SCRIPT = "import sys; from ssflow.cli import run; sys.argv[0] = 'ssflow'; sys.exit(run())"
+
+    @staticmethod
+    def _fresh(*args):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {key: value for key, value in os.environ.items() if key != "SSFLOW_TOL"}
+        env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+        return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_main_leaves_the_collector_alone(self, argv, capsys):
+        from ssflow import cli
+
+        frozen = gc.get_freeze_count()
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize(
+        "entry", [("-m", "ssflow"), ("-m", "ssflow.cli"), ("-c", CONSOLE_SCRIPT)], ids=["package", "module", "script"]
+    )
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["coeffs", "--eq", "pme", "--m", "2", "--n", "1", "--beta", "0.25"], 0),
+            (["coeffs", "--eq", "pme", "--m", "2"], 1),
+            (["coeffs", "--bogus"], 1),
+            (["explicit", "--kind", "dipole-pme", "--m", "2", "--n", "1", "--K", "1e200"], 2),
+        ],
+        ids=["ok", "param-error", "usage-error", "failed-check"],
+    )
+    def test_process_matches_main(self, entry, argv, code, capfdbinary):
+        from ssflow import cli
+
+        assert cli.main(argv) == code
+        expected = capfdbinary.readouterr()
+        res = self._fresh(*entry, *argv)
+        assert (res.returncode, res.stdout, res.stderr) == (code, expected.out, expected.err)
+
+    @pytest.mark.parametrize("entry", [("-m", "ssflow"), ("-m", "ssflow.cli")], ids=["package", "module"])
+    def test_out_files_match_main(self, entry, tmp_path):
+        from ssflow import cli
+
+        argv = ["explicit", "--kind", "yamabe-ple", "--n", "4", "--out"]
+        assert cli.main([*argv, str(tmp_path / "main.csv")]) == 0
+        res = self._fresh(*entry, *argv, str(tmp_path / "run.csv"))
+        assert (res.returncode, res.stdout, res.stderr) == (0, b"", b"")
+        for suffix in (".csv", ".csv.footer.json"):
+            assert (tmp_path / f"run{suffix}").read_bytes() == (tmp_path / f"main{suffix}").read_bytes()
+
+    @pytest.mark.parametrize(
+        "call",
+        ["from ssflow.cli import run; run()",
+         "import runpy; runpy.run_module('ssflow', run_name='__main__', alter_sys=True)",
+         "import runpy; runpy.run_module('ssflow.cli', run_name='__main__', alter_sys=True)"],
+        ids=["run", "package", "module"],
+    )
+    def test_run_freezes_after_main_and_keeps_atexit(self, call):
+        # the handler runs after run() has frozen the heap, and still writes to a stream that is flushed
+        code = (
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr))\n"
+            "sys.argv = ['ssflow', 'verify']\n"
+            f"{call}\n"
+        )
+        res = self._fresh("-c", code)
+        assert res.returncode == 0
+        assert res.stdout == (GOLDEN / "verify_default.json").read_bytes()
+        assert res.stderr == b"False True\n"

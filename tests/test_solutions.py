@@ -714,9 +714,21 @@ class TestPowerOverflow:
             (lambda: max_residual(barenblatt_pme(-1.0, 4.0, 1e308)), "f^(m-1) or f^(m-2) overflows at eta = "),
             (lambda: max_residual(barenblatt_ple(0.2, 4.0, 1e308)), "|f'|^(p-2) overflows at eta = "),
             (lambda: dipole_derivative_ple(2.5, 3.0, 1e300), "the scale c^e (c/k)^a of f overflows"),
+            # the term coefficient -A e c E of f' is -inf, and w^(e-1) underflows to 0: f' was -inf * 0 = nan
+            (lambda: yamabe_ple(3.0, 1e300).fprime(0.5), "the coefficient -inf of the term eta^"),
+            # the time factors of the ansatz: alpha's and beta's in u, -beta's in the radial stretch of the mass
+            (lambda: selfsimilar_value(PMEParams(2.0, 1.0, -1.0), barenblatt_pme(2.0, 1.0), 0.1, 1e-300),
+             "the time factor t^(-a) of alpha overflows: a = 3.0, t = 1e-300"),
+            (lambda: selfsimilar_value(PMEParams(2.0, 1.0, 0.5, T2), barenblatt_pme(2.0, 1.0), 0.1, 0.0, 1e-200),
+             "the time factor (T - t)^a of alpha overflows: a = -2.0, t = 0.0, T = 1e-200"),
+            (lambda: selfsimilar_value(PMEParams(2.0, 1.0, 0.3, SimilarityType.TYPE_III), barenblatt_pme(2.0, 1.0),
+                                       0.1, 1e5), "the time factor e^(a t) of beta overflows: a = 0.3, t = 100000.0"),
+            (lambda: mass_integral(barenblatt_pme(2.0, 1.0), PMEParams(2.0, 1.0, 2.0), 1e300),
+             "the time factor t^(-a) of -beta overflows: a = -2.0, t = 1e+300"),
         ],
         ids=["free-boundary", "eta-power", "term-power", "value-at-zero", "beta1-power-huge-n",
-             "beta1-power-p-near-one", "pme-residual", "ple-residual", "derivative-primary-scale"],
+             "beta1-power-p-near-one", "pme-residual", "ple-residual", "derivative-primary-scale",
+             "term-coefficient", "selfsimilar-type1", "selfsimilar-type2", "selfsimilar-type3", "mass-stretch"],
     )
     def test_overflow_is_a_domain_error(self, build, message):
         with pytest.raises(DomainError) as err:
