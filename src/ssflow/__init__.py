@@ -43,6 +43,8 @@ from .params import (
     UnifiedCoefficients,
     alpha_from,
     critical_exponents,
+    line_betas_ple,
+    line_betas_pme,
     unified_coefficients,
 )
 
@@ -54,8 +56,6 @@ _LAZY = {
         "PhaseState",
         "ProfileSample",
         "Trajectory",
-        "line_betas_ple",
-        "line_betas_pme",
         "line_condition_value",
         "ple_native_system_xy",
         "ple_to_unified",

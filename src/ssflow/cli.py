@@ -25,6 +25,7 @@ import os
 import re
 import sys
 
+from ._records import CheckResult
 from .equivalence import DEFAULT_IDENTITY_TOL, Branch, ple_to_pme, pme_to_ple, verify_equivalence
 from .errors import DomainError, IntegrationFailure, SsflowError
 from .params import (
@@ -131,13 +132,10 @@ def _params_dict(params) -> dict:
     return d
 
 
-def _report_checks(rep) -> list[dict]:
-    return [
-        {"name": "coeff_match", "pass": rep.c_match, "max_dev": rep.c_max_rel_dev, "tol": rep.tol},
-        {"name": "beta_identity", "pass": rep.beta_identity, "max_dev": rep.beta_dev, "tol": rep.tol},
-        {"name": "b_ratio", "pass": rep.b_ratio, "max_dev": rep.b_ratio_dev, "tol": rep.tol},
-        {"name": "sign_match", "pass": rep.sign_match, "max_dev": 0.0 if rep.sign_match else 1.0, "tol": rep.tol},
-    ]
+def _report_checks(rep, branch: Branch) -> list[dict]:
+    checks = (("coeff_match", rep.c_match, rep.c_max_rel_dev), ("beta_identity", rep.beta_identity, rep.beta_dev),
+              ("b_ratio", rep.b_ratio, rep.b_ratio_dev), ("sign_match", rep.sign_match, 0.0 if rep.sign_match else 1.0))
+    return [CheckResult(f"branch{branch.value}_{name}", passed, dev, rep.tol).as_dict() for name, passed, dev in checks]
 
 
 def cmd_map(args) -> int:
@@ -160,9 +158,7 @@ def cmd_map(args) -> int:
         entry["branch"] = branch.value
         entry["orientation_flipped"] = rep.flipped
         targets.append(entry)
-        for c in _report_checks(rep):
-            c["name"] = f"branch{branch.value}_{c['name']}"
-            checks.append(c)
+        checks.extend(_report_checks(rep, branch))
     if not targets:
         error = {"type": errors[0]["type"], "message": json.dumps(errors), "branches": errors}
         return _json_out({"status": "error", "error": error}, None)
@@ -247,7 +243,6 @@ _EXPLICIT_BUILDERS = {
 
 def cmd_explicit(args) -> int:
     from . import solutions
-    from ._records import _Agg
 
     name, exponent_flag, const_flag = _EXPLICIT_BUILDERS[args.kind]
     builder = getattr(solutions, name)
@@ -259,11 +254,9 @@ def cmd_explicit(args) -> int:
         if exponent is None:
             raise SsflowError(f"--{exponent_flag} is required for kind {args.kind}")
         profile = builder(exponent, args.n, const)
-    etas = profile.interior_points(args.points)
-    rows = [(s.eta, s.f, s.fprime) for s in profile.sample(etas)]
-    agg = _Agg(1e-8)
-    agg.add(solutions.max_residual(profile, args.points))  # before any row: a failing residual is all of stdout
-    check = agg.result("max_residual")
+    rows = [(s.eta, s.f, s.fprime) for s in profile.sample(profile.interior_points(args.points))]
+    # before any row: a failing residual is all of stdout
+    check = solutions._residual_check("max_residual", [profile], args.points)
     _csv_out(("eta", "f", "fprime"), rows, args.out)
     footer = {
         "status": "ok" if check.passed else "fail",

@@ -11,8 +11,8 @@ phase-plane variables, to one quadratic autonomous system,
 with e = +1 / -1 / 0 for the three similarity types and s = sgn(b)
 (s = 0 in the critical case b = 0).  This module owns the parameter
 containers for both equations, the alpha/beta exponent relations, the
-critical exponents where the reduction changes form, and the computation
-of the shared coefficient tuple (c1, c2, c3, sqrt|b|).
+critical exponents where the reduction changes form, the Type I betas with
+an invariant line, and the shared coefficient tuple (c1, c2, c3, sqrt|b|).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import DegenerateError, DomainError
 DEFAULT_CRITICAL_TOL = 1e-9
 
 # Band around an excluded value (m = 1 or p = 2, where c1 = m/(m-1) blows up; p = 1, p = 0,
-# m_c, p_c, a vanishing exponent denominator) inside which the records, the coefficients,
+# m_c, p_c, a vanishing beta1 denominator) inside which the records, the coefficients,
 # the dimension maps and the closed forms refuse to run: |x - v| <= _EXCLUSION_TOL.
 _EXCLUSION_TOL = 1e-12
 
@@ -226,4 +226,21 @@ def unified_coefficients(params, critical_tol: float = DEFAULT_CRITICAL_TOL) -> 
 
 def _sign(x: float) -> int:
     return 1 if x > 0.0 else (-1 if x < 0.0 else 0)
+
+
+def line_betas_pme(m: float, n: float) -> tuple[float | None, float | None]:
+    """The Type I betas with an invariant line: Barenblatt's 1/(n(m-1)+2) and the dipole's 1/(2m).
+
+    A root at infinity is None: beta1 within _EXCLUSION_TOL of a zero denominator, beta2 at an exact zero.
+    """
+    return _line_betas(n * (m - 1.0) + 2.0, 2.0 * m)
+
+
+def line_betas_ple(p: float, n: float) -> tuple[float | None, float | None]:
+    """p-Laplacian analogue: 1/(n(p-2)+p) and 1/p, None by the same rule."""
+    return _line_betas(n * (p - 2.0) + p, p)
+
+
+def _line_betas(d1: float, d2: float) -> tuple[float | None, float | None]:
+    return (None if abs(d1) <= _EXCLUSION_TOL else 1.0 / d1), (None if d2 == 0.0 else 1.0 / d2)
 

@@ -9,9 +9,9 @@ The transforms in and out of the unified plane are exact conjugacies once
 the independent variable is rescaled to r1 = sqrt|b| * r with r = log(eta).
 
 Also here: reconstruction of radial profiles from unified trajectories,
-the invariant straight lines of the Type I flow with sgn(b) = +1, the two
-beta values that produce them, and the exact parabola-shaped trajectory of
-the Yamabe case.
+the invariant straight lines of the Type I flow with sgn(b) = +1 (the two
+beta values that produce them are ``params``' ``line_betas_*``), and the
+exact parabola-shaped trajectory of the Yamabe case.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ from .params import (
     PMEParams,
     UnifiedCoefficients,
     alpha_from,
+    line_betas_ple,  # the betas of straight_line's lines, importable from here too
+    line_betas_pme,
     unified_coefficients,
 )
 
@@ -93,13 +95,9 @@ def _pair(value) -> tuple[float, float]:
     return float(a), float(b)
 
 
-def _float_pairs(rows) -> tuple:
-    """``rows`` as a tuple of ``_pair``s; a row that already is a (float, float) tuple is kept, not copied."""
-    rows = tuple(rows.tolist() if hasattr(rows, "tolist") else rows)  # an ndarray's rows as lists of floats
-    if set(map(type, rows)) <= {tuple} and set(map(len, rows)) <= {2}:
-        if set(map(type, chain.from_iterable(rows))) <= {float}:
-            return rows
-    return tuple(map(_pair, rows))
+def _pairs(rows) -> tuple:
+    """``rows`` as a tuple of ``_pair``s; an ndarray's rows are read as lists of floats."""
+    return tuple(map(_pair, rows.tolist() if hasattr(rows, "tolist") else rows))
 
 
 def _array(values, *shape):
@@ -115,9 +113,9 @@ class Trajectory(_Record):
 
     ``grid`` holds the independent variable as floats, ``points`` the states and
     ``slopes`` the right-hand side at each node (used for cubic Hermite
-    interpolation) as (float, float) pairs; other rows, grid nodes and numpy
-    arrays are converted once by the pair rule (``_pair``), and a str or bytes-like
-    grid is refused.  ``integrate`` and the trajectory maps build these floats
+    interpolation) as (float, float) pairs; the constructor converts every row and
+    grid node, numpy arrays' included, by the pair rule (``_pair``), and refuses a str
+    or bytes-like grid.  ``integrate`` and the trajectory maps build these floats
     themselves and skip the conversion (``_of_floats``); the equal-length, finite
     grid and states, and strictly monotone grid checks run for every trajectory,
     whatever built it.  ``r1``, ``states`` and ``derivs`` are the same data as
@@ -135,10 +133,9 @@ class Trajectory(_Record):
         try:
             if isinstance(grid, _TEXT):
                 raise TypeError
-            grid = tuple(grid)
-            if set(map(type, grid)) - {float}:  # ints, numpy scalars: each node through the pair rule
-                grid = tuple(r for r, _ in map(_pair, zip(grid, grid)))
-            points, slopes = _float_pairs(points), _float_pairs(slopes)
+            grid = tuple(grid)  # zip(grid, grid) of an iterator would pair neighbouring nodes
+            grid = tuple(r for r, _ in map(_pair, zip(grid, grid)))  # each node through the pair rule
+            points, slopes = _pairs(points), _pairs(slopes)
         except TypeError:
             raise DomainError("a trajectory is a sequence of real numbers and two sequences of pairs") from None
         vars(self).update(grid=grid, points=points, slopes=slopes, status=status, meta={} if meta is None else meta)
@@ -475,26 +472,6 @@ def line_condition_value(coeffs: UnifiedCoefficients) -> float:
         - (coeffs.c1 - 1.0) * coeffs.c3 * coeffs.c2
         + (coeffs.c1 - 1.0) ** 2
     )
-
-
-def line_betas_pme(m: float, n: float) -> tuple[float | None, float | None]:
-    """The two beta values with an invariant line: 1/(n(m-1)+2) and 1/(2m).
-
-    A vanishing denominator means the corresponding root escapes to infinity
-    and is reported as None.
-    """
-    d1 = n * (m - 1.0) + 2.0
-    beta1 = None if d1 == 0.0 else 1.0 / d1
-    beta2 = None if m == 0.0 else 1.0 / (2.0 * m)
-    return beta1, beta2
-
-
-def line_betas_ple(p: float, n: float) -> tuple[float | None, float | None]:
-    """p-Laplacian analogue: 1/(n(p-2)+p) and 1/p."""
-    d1 = n * (p - 2.0) + p
-    beta1 = None if d1 == 0.0 else 1.0 / d1
-    beta2 = None if p == 0.0 else 1.0 / p
-    return beta1, beta2
 
 
 def yamabe_curve(n: float, phi: float) -> float:

@@ -32,7 +32,7 @@ import math
 from functools import lru_cache
 from typing import Callable, Optional
 
-from ._records import ProfileSample, _Record, _check_positive, _worst
+from ._records import CheckResult, ProfileSample, _Agg, _Record, _check_positive, _worst
 from .errors import (
     CriticalError,
     DegenerateError,
@@ -51,6 +51,8 @@ from .params import (
     _is_critical,
     alpha_from,
     critical_exponents,
+    line_betas_ple,
+    line_betas_pme,
 )
 
 
@@ -193,10 +195,9 @@ def barenblatt_pme(m: float, n: float, C: float = 1.0) -> ClosedFormProfile:
     whole positivity set.  Compactly supported for m > 1, global for m < 1.
     """
     _check_positive("C", C)
-    denom = n * (m - 1.0) + 2.0
-    if abs(denom) <= _EXCLUSION_TOL:
+    beta1, _ = line_betas_pme(m, n)
+    if beta1 is None:
         raise DegenerateError("n(m-1) + 2 = 0: the source-type exponent degenerates")
-    beta1 = 1.0 / denom
     k = (m - 1.0) * beta1 / 2.0
     params = PMEParams(m, n, beta1, SimilarityType.TYPE_I)
     support, derivs = _power_law(1.0, 0.0, C, k, 2.0, 1.0 / (m - 1.0))
@@ -213,13 +214,12 @@ def barenblatt_ple(p: float, n: float, C: float = 1.0) -> ClosedFormProfile:
     _check_positive("C", C)
     if p == 0.0 or p == 1.0:
         raise DegenerateError(f"p = {p} has no source-type profile of this form")
-    denom = n * (p - 2.0) + p
-    if abs(denom) <= _EXCLUSION_TOL:
+    beta1, _ = line_betas_ple(p, n)
+    if beta1 is None:
         raise DegenerateError("n(p-2) + p = 0: the source-type exponent degenerates")
-    beta1 = 1.0 / denom
     params = PLEParams(p, n, beta1, SimilarityType.TYPE_I)  # refuses p = 2 and a non-finite n before A
     if beta1 == 0.0:
-        raise DomainError(f"n(p-2) + p = {denom} leaves the float range: beta1 rounds to 0")
+        raise DomainError(f"n(p-2) + p = {n * (p - 2.0) + p} leaves the float range: beta1 rounds to 0")
     try:
         A = (p - 2.0) / p * math.copysign(abs(beta1) ** (1.0 / (p - 1.0)), beta1)
     except OverflowError:
@@ -235,11 +235,12 @@ def dipole_pme(m: float, n: float, K: float = 1.0) -> ClosedFormProfile:
     exponents are beta = 1/(2m) and alpha = 1/m (Type I).
     """
     _check_positive("K", K)
-    if m == 0.0:
+    _, beta2 = line_betas_pme(m, n)
+    if beta2 is None:
         raise DegenerateError("m = 0 has no dipole profile of this form")
     if _is_critical(m, critical_exponents(n).m_c, _EXCLUSION_TOL):
         raise CriticalError("the dipole formula divides by b = 0 at m = m_c")
-    params = PMEParams(m, n, 1.0 / (2.0 * m), SimilarityType.TYPE_I)  # refuses m = 1 before b divides by it
+    params = PMEParams(m, n, beta2, SimilarityType.TYPE_I)  # refuses m = 1 before b divides by it
     b = _b(params)
     q = -(n - 2.0) / m
     e = (m * n - n + 2.0) / m
@@ -257,11 +258,12 @@ def dipole_derivative_ple(p: float, n: float, c: float = 1.0) -> ClosedFormProfi
     integral of ``_beta_tail``.  f is defined wherever f' is.
     """
     _check_positive("c", c)
-    if p == 0.0 or p == 1.0:
+    _, beta2 = line_betas_ple(p, n)
+    if beta2 is None or p == 1.0:
         raise DegenerateError(f"p = {p} has no derivative-primary profile of this form")
     if _is_critical(p, critical_exponents(n).p_c, _EXCLUSION_TOL):
         raise CriticalError("the derivative formula divides by b = 0 at p = p_c")
-    params = PLEParams(p, n, 1.0 / p, SimilarityType.TYPE_I)  # refuses p = 2 before b divides by it
+    params = PLEParams(p, n, beta2, SimilarityType.TYPE_I)  # refuses p = 2 before b divides by it
     b = _b(params)
     E = (p - 2.0) * b / p
     q = -(n - 1.0) / (p - 1.0)
@@ -473,6 +475,14 @@ def max_residual(profile: ClosedFormProfile, count: int = 50) -> float:
     return _worst(res(profile, params, eta) for eta in profile.interior_points(count))
 
 
+def _residual_check(name: str, profiles, count: int) -> CheckResult:
+    """The closed-form residual check: every profile's ``max_residual`` over ``count`` points within 1e-8."""
+    agg = _Agg(1e-8)
+    for profile in profiles:
+        agg.add(max_residual(profile, count))
+    return agg.result(name)
+
+
 def _check_time(sim_type: SimilarityType, t: float, T: Optional[float]) -> None:
     """The time domain of each similarity type: t finite, and t > 0 (Type I) or t < T, T finite (Type II)."""
     if not math.isfinite(t):
@@ -502,7 +512,11 @@ def selfsimilar_value(params, profile, x_radius: float, t: float, T: Optional[fl
     st = params.sim_type
     _check_time(st, t, T)
     scale = _time_factor(st, t, T, alpha_from(params), "alpha")
-    return scale * profile.f(x_radius * _time_factor(st, t, T, params.beta, "beta"))
+    f = profile.f(x_radius * _time_factor(st, t, T, params.beta, "beta"))
+    u = scale * f
+    if not math.isfinite(u) and math.isfinite(scale) and math.isfinite(f):
+        raise DomainError(f"u = {scale} * {f}, the time factor times f, overflows at x_radius = {x_radius}, t = {t}")
+    return u
 
 
 def _time_factor(st: SimilarityType, t: float, T: Optional[float], a: float, name: str) -> float:

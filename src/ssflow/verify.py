@@ -24,10 +24,16 @@ from .equivalence import (
 )
 from .errors import UnphysicalDimensionError
 from .integrator import IntegrationSettings, compare_trajectories, integrate
-from .params import PLEParams, PMEParams, SimilarityType, critical_exponents, unified_coefficients
-from .phase_plane import (
+from .params import (
+    PLEParams,
+    PMEParams,
+    SimilarityType,
+    critical_exponents,
     line_betas_ple,
     line_betas_pme,
+    unified_coefficients,
+)
+from .phase_plane import (
     line_condition_value,
     ple_native_system_xy,
     ple_trajectory_to_unified,
@@ -184,10 +190,7 @@ def check_closed_forms() -> CheckResult:
     for n in (3.0, 4.0, 5.0):
         profiles.append(solutions.loewner_nirenberg_pme(n, 1.0))
         profiles.append(solutions.yamabe_ple(n, 1.0))
-    agg = _Agg(1e-8)
-    for prof in profiles:
-        agg.add(solutions.max_residual(prof, count=50))
-    return agg.result("closed_form_residuals")
+    return solutions._residual_check("closed_form_residuals", profiles, 50)
 
 
 def check_yamabe_profiles() -> CheckResult:

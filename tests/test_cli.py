@@ -428,7 +428,8 @@ class TestImportBudget:
 
     Nor does ssflow load ``dataclasses`` or ``inspect``, which cost a cold start about 7 ms: the
     probe reports which of the two were loaded after the interpreter's own start-up (``site`` may
-    load modules first).
+    load modules first).  Nor does ``explicit`` load ``phase_plane`` or ``integrator``: its six closed
+    forms need neither.
     """
 
     @staticmethod
@@ -443,7 +444,9 @@ class TestImportBudget:
             "rc = None if argv is None else ssflow.cli.main(argv)\n"
             "print()\n"
             "print(json.dumps({'rc': rc, 'numpy': 'numpy' in sys.modules, 'scipy': 'scipy' in sys.modules,\n"
-            "                  'slow': sorted(name for name in slow if name in sys.modules and name not in before)}))\n"
+            "                  'slow': sorted(name for name in slow if name in sys.modules and name not in before),\n"
+            "                  'stepping': sorted(name for name in ('ssflow.integrator', 'ssflow.phase_plane')\n"
+            "                                     if name in sys.modules)}))\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
@@ -487,6 +490,8 @@ class TestImportBudget:
         assert probe["numpy"] is False
         assert probe["scipy"] is False
         assert probe["slow"] == []
+        if argv[0] == "explicit":  # the closed forms read their line betas from params, not phase_plane
+            assert probe["stepping"] == []
 
     def test_trajectory_arrays_load_numpy_on_first_read(self):
         src = str(Path(__file__).resolve().parents[1] / "src")

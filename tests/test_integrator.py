@@ -204,10 +204,27 @@ class TestTrajectory:
         assert traj.points == ((1.0, 2.0), (3.0, 4.0))
         assert {type(v) for row in traj.points + traj.slopes for v in (*row, *traj.grid)} == {float}
 
-    def test_float_pair_rows_are_kept(self):
-        points = [(0.5, 1.0), (0.25, 2.0)]
-        traj = Trajectory([0.0, 1.0], points, points)
-        assert all(kept is given for kept, given in zip(traj.points, points))
+    def test_constructor_and_producer_paths_agree(self):
+        # the constructor converts every row by the pair rule; integrate and the maps keep their own floats
+        meta = {"accepted": 3}
+        built = Trajectory(_GRID, _POINTS, _SLOPES, "event", meta)
+        produced = Trajectory._of_floats(_GRID, _POINTS, _SLOPES, "event", meta)
+        assert built == produced and repr(built) == repr(produced)
+        # the meta dict makes either record unhashable; every other field hashes alike
+        for traj in (built, produced):
+            with pytest.raises(TypeError):
+                hash(traj)
+        assert hash(built._values(built)[:4]) == hash(produced._values(produced)[:4])
+        grid, points, slopes = [0, 1, 2], [(1, 2), (3, 4), (5, 6)], [(0, -1), (1, 0), (2, 1)]
+        as_floats = Trajectory._of_floats([0.0, 1.0, 2.0], [(1.0, 2.0), (3.0, 4.0), (5.0, 6.0)],
+                                          [(0.0, -1.0), (1.0, 0.0), (2.0, 1.0)], "completed", {})
+        for convert in (int, np.float64, float):
+            rows = [[convert(v) for v in row] for row in points], [[convert(v) for v in row] for row in slopes]
+            for traj in (Trajectory(list(map(convert, grid)), *rows), Trajectory(map(convert, grid), *map(iter, rows))):
+                assert traj == as_floats and repr(traj) == repr(as_floats)
+                assert {type(v) for v in traj.grid} == {float}
+                assert {type(row) for row in traj.points + traj.slopes} == {tuple}
+                assert {type(v) for row in traj.points + traj.slopes for v in row} == {float}
 
     @pytest.mark.parametrize("case", _refused_inputs().values(), ids=_refused_inputs().keys())
     def test_lists_and_arrays_are_refused_alike(self, case):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -22,6 +23,8 @@ from ssflow import (
     barenblatt_pme,
     dipole_derivative_ple,
     dipole_pme,
+    line_betas_ple,
+    line_betas_pme,
     loewner_nirenberg_pme,
     mass_integral,
     max_residual,
@@ -125,6 +128,51 @@ class TestBarenblattPLEDegenerate:
         assert 5e-13 * (1.999999999999e-12 - 2.0) + 1.999999999999e-12 == 1e-12
         with pytest.raises(DegenerateError, match="source-type exponent degenerates"):
             barenblatt_ple(1.999999999999e-12, 5e-13)
+
+
+# (factory, its line_betas_*, the root it reads, exponent, n, whether that root is None), one row per edge of the
+# rule: beta1 is None within 1e-12 of a zero denominator, edge included; beta2 only at an exact zero, -0.0 included
+_LINE_BETA_EDGES = {
+    "beta1-pme-zero": (barenblatt_pme, line_betas_pme, 0, 0.5, 4.0, True),
+    "beta1-pme-about-5e-13": (barenblatt_pme, line_betas_pme, 0, -1.0 + 5e-13, 1.0, True),
+    "beta1-pme-about-minus-5e-13": (barenblatt_pme, line_betas_pme, 0, -1.0 - 5e-13, 1.0, True),
+    "beta1-pme-about-2e-12": (barenblatt_pme, line_betas_pme, 0, -1.0 + 2e-12, 1.0, False),
+    "beta1-pme-about-minus-2e-12": (barenblatt_pme, line_betas_pme, 0, -1.0 - 2e-12, 1.0, False),
+    # the one root that changed: 2 - n = -1e-13 here, where beta1 was -1.0008e13 and barenblatt_pme refused
+    "beta1-pme-about-minus-1e-13": (barenblatt_pme, line_betas_pme, 0, 0.0, 2.0 + 1e-13, True),
+    "beta1-ple-zero": (barenblatt_ple, line_betas_ple, 0, 1.5, 3.0, True),
+    # n(p-2) + p rounds to p itself at n = 1e-300: exactly +-1e-12, then the next floats out, then +-2e-12
+    "beta1-ple-1e-12": (barenblatt_ple, line_betas_ple, 0, 1e-12, 1e-300, True),
+    "beta1-ple-minus-1e-12": (barenblatt_ple, line_betas_ple, 0, -1e-12, 1e-300, True),
+    "beta1-ple-above-1e-12": (barenblatt_ple, line_betas_ple, 0, math.nextafter(1e-12, 1.0), 1e-300, False),
+    "beta1-ple-below-minus-1e-12": (barenblatt_ple, line_betas_ple, 0, math.nextafter(-1e-12, -1.0), 1e-300, False),
+    "beta1-ple-2e-12": (barenblatt_ple, line_betas_ple, 0, 2e-12, 1e-300, False),
+    "beta1-ple-minus-2e-12": (barenblatt_ple, line_betas_ple, 0, -2e-12, 1e-300, False),
+    "beta2-pme-zero": (dipole_pme, line_betas_pme, 1, 0.0, 3.0, True),
+    "beta2-pme-minus-zero": (dipole_pme, line_betas_pme, 1, -0.0, 3.0, True),
+    "beta2-pme-1e-300": (dipole_pme, line_betas_pme, 1, 5e-301, 3.0, False),
+    "beta2-ple-zero": (dipole_derivative_ple, line_betas_ple, 1, 0.0, 3.0, True),
+    "beta2-ple-minus-zero": (dipole_derivative_ple, line_betas_ple, 1, -0.0, 3.0, True),
+    "beta2-ple-1e-300": (dipole_derivative_ple, line_betas_ple, 1, 1e-300, 3.0, False),
+}
+# each factory's message for a root at infinity
+_DEGENERATE_EXPONENT = "source-type exponent degenerates|has no dipole profile|has no derivative-primary profile"
+
+
+@pytest.mark.parametrize("case", _LINE_BETA_EDGES.values(), ids=_LINE_BETA_EDGES.keys())
+def test_factories_refuse_exactly_where_their_line_beta_is_none(case):
+    factory, line_betas, root, exponent, n, none = case
+    beta = line_betas(exponent, n)[root]
+    assert (beta is None) is none
+    try:
+        profile = factory(exponent, n)
+    except DegenerateError as exc:
+        assert none, exc
+        assert re.search(_DEGENERATE_EXPONENT, str(exc))
+    except SsflowError as exc:  # a root that exists may still overflow further on
+        assert not none and not re.search(_DEGENERATE_EXPONENT, str(exc)), exc
+    else:
+        assert not none and profile.params.beta == beta
 
 
 class TestDipolePME:
@@ -725,10 +773,17 @@ class TestPowerOverflow:
                                        0.1, 1e5), "the time factor e^(a t) of beta overflows: a = 0.3, t = 100000.0"),
             (lambda: mass_integral(barenblatt_pme(2.0, 1.0), PMEParams(2.0, 1.0, 2.0), 1e300),
              "the time factor t^(-a) of -beta overflows: a = -2.0, t = 1e+300"),
+            # both factors of u are finite, their product is not: t^(-alpha) = 1e306 times f = 1e10.  u was inf,
+            # and the mass quadrature of it failed to settle
+            (lambda: selfsimilar_value(PMEParams(2.0, 1.0, -1.0), barenblatt_pme(2.0, 1.0, 1e10), 0.0, 1e-102),
+             "u = 1.0000000000000002e+306 * 10000000000.0, the time factor times f, overflows at x_radius = 0.0"),
+            (lambda: mass_integral(barenblatt_pme(2.0, 1.0, 1e10), PMEParams(2.0, 1.0, -1.0), 1e-102),
+             "the time factor times f, overflows"),
         ],
         ids=["free-boundary", "eta-power", "term-power", "value-at-zero", "beta1-power-huge-n",
              "beta1-power-p-near-one", "pme-residual", "ple-residual", "derivative-primary-scale",
-             "term-coefficient", "selfsimilar-type1", "selfsimilar-type2", "selfsimilar-type3", "mass-stretch"],
+             "term-coefficient", "selfsimilar-type1", "selfsimilar-type2", "selfsimilar-type3", "mass-stretch",
+             "selfsimilar-product", "mass-product"],
     )
     def test_overflow_is_a_domain_error(self, build, message):
         with pytest.raises(DomainError) as err:
